@@ -69,6 +69,25 @@ def _canonical_rows(mat: Matrix, torsions: list[int]) -> Matrix:
     return Matrix(mat.spec, rows)
 
 
+class GlueCache:
+    """Gluing work a module reuses across its own shell sums (transport._glue_columns).
+
+    Each entry depends only on the module, or on the module and one pair of
+    maps, so no result depends on the order of calls.  The size is bounded:
+    one operator memo per (operator, basis index), each holding at most one
+    vector per index below stop_shell; the last DividedCoeffs with its key;
+    and whether the module passed the flatness and Griffiths gate (a failure
+    is never remembered, so a failing module raises on every call).
+    """
+
+    def __init__(self):
+        self.operator_memos: dict = {}     # (operator, k) -> {index: vector}
+        # ((g1, g2, mode), DividedCoeffs) as one tuple, so that a sweep running
+        # concurrently on this module never pairs a key with another engine
+        self.coeffs = None
+        self.valid_for_glue = False
+
+
 class LogFFModule:
     """Basis-adapted module with log connection, Hodge filtration and Frobenius."""
 
@@ -109,6 +128,7 @@ class LogFFModule:
         self.frobenius = _canonical_rows(frobenius, torsions)
         for label, mat in [("connection", m) for m in self.connection] + [("frobenius", self.frobenius)]:
             self._check_torsion_divisibility(label, mat)
+        self._glue_cache = GlueCache()
 
     def _check_torsion_divisibility(self, label: str, mat: Matrix):
         # Hom(R/p^{e_k}, R/p^{e_i}) = p^{max(0, e_i - e_k)} R/p^{e_i}
@@ -161,18 +181,54 @@ def apply_connection(connection: list[Matrix], vec: list[RingElem], j: int) -> l
     return [x + v.log_derive(j) for x, v in zip(out, vec)]
 
 
+def _trie_parent(index: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
+    """(j0, I - e_j0) for the last nonzero slot j0 of I; None for I = 0."""
+    for j0 in range(len(index) - 1, -1, -1):
+        if index[j0]:
+            return j0, index[:j0] + (index[j0] - 1,) + index[j0 + 1:]
+    return None
+
+
 def falling_connection_op(connection: list[Matrix], vec: list[RingElem],
-                          index: tuple[int, ...]) -> list[RingElem]:
+                          index: tuple[int, ...], *,
+                          memo: dict | None = None) -> list[RingElem]:
     """prod_j prod_{k < i_j} (nabla(delta_j) - k) applied to a vector.
 
     The factor order is immaterial on flat modules, which is the only place
     this operator is meaningful.
+
+    memo, if given, maps indices to results for this connection and this
+    start vector, and is filled with the result and any missing ancestors.
+    The result for I is then one factor nabla(delta_j) - (i_j - 1) applied
+    to the result for I - e_j, where j is the last nonzero slot of I: the
+    same factors in the same order as without a memo, so the two agree term
+    for term.  A zero parent gives its (shared) zero vector.  Memoized
+    vectors are shared between calls and must not be mutated.
     """
-    out = list(vec)
-    for j0, ij in enumerate(index):
-        for k in range(ij):
-            nabla = apply_connection(connection, out, j0 + 1)
-            out = [x - v.scale(k) for x, v in zip(nabla, out)]
+    if memo is None:
+        out = list(vec)
+        for j0, ij in enumerate(index):
+            for k in range(ij):
+                nabla = apply_connection(connection, out, j0 + 1)
+                out = [x - v.scale(k) for x, v in zip(nabla, out)]
+        return out
+    got = memo.get(index)
+    if got is not None:
+        return got
+    step = _trie_parent(index)
+    if step is None:
+        out = list(vec)
+    else:
+        j0, parent = step
+        prev = memo.get(parent)
+        if prev is None:
+            prev = falling_connection_op(connection, vec, parent, memo=memo)
+        if all(v.is_zero() for v in prev):
+            out = prev
+        else:
+            nabla = apply_connection(connection, prev, j0 + 1)
+            out = [x - v.scale(index[j0] - 1) for x, v in zip(nabla, prev)]
+    memo[index] = out
     return out
 
 

@@ -35,6 +35,14 @@ class LiftMismatchError(ValueError):
     """Two maps that must agree mod p do not."""
 
 
+class WorkingPrecisionError(AssertionError):
+    """Internal: a division needs more p-adic digits than the working precision holds.
+
+    work_precision is proven sufficient for every coefficient a shell sum
+    requests, so this signals a bug in that bound, not bad input.
+    """
+
+
 @dataclass(frozen=True)
 class RingSpec:
     """Shape of the chart: prime p, precision n, d slots of which the first s are polynomial."""
@@ -445,6 +453,9 @@ class RingMap:
             return NotImplemented
         return (self.source, self.target, self.images) == (other.source, other.target, other.images)
 
+    def __hash__(self):
+        return hash((self.source, self.target, tuple(self.images)))
+
 
 class FrobLift:
     """Frobenius lift Phi(T_j) = w_j T_j^p with w_j = 1 + p*u_j.
@@ -641,6 +652,7 @@ class DividedCoeffs:
                 raise LiftMismatchError(f"maps do not agree mod p on slot {j + 1}")
             self.x.append(xj)
         self._powers: dict[tuple[int, ...], RingElem] = {(0,) * g1.source.d: one}
+        self._coeffs: dict[tuple[tuple[int, ...], int], RingElem] = {}
 
     def _power(self, index: tuple[int, ...]) -> RingElem:
         got = self._powers.get(index)
@@ -654,15 +666,26 @@ class DividedCoeffs:
         return out
 
     def coeff(self, index: tuple[int, ...], p_exponent: int) -> RingElem:
-        """x^I / (I! * p^p_exponent) as an element mod p^n."""
+        """x^I / (I! * p^p_exponent) as an element mod p^n.
+
+        Each (index, p_exponent) is divided once; later requests reuse it.
+        """
+        key = (index, p_exponent)
+        got = self._coeffs.get(key)
+        if got is not None:
+            return got
         fact = multi_factorial(index)
         needed = self.n + p_exponent + sum(factorial_valp(i, self.p) for i in index)
         if needed > self.work_n:
-            raise AssertionError("working precision underestimated")
+            raise WorkingPrecisionError(
+                f"coefficient {index} / p^{p_exponent} needs precision {needed}, "
+                f"working precision is {self.work_n}")
         denom = fact * self.p ** p_exponent
         xI = self._power(index)
         out = {e: reduce_mod(Fraction(c, denom), self.p, self.n) for e, c in xI.terms.items()}
-        return RingElem(self.base_spec, out)
+        result = RingElem(self.base_spec, out)
+        self._coeffs[key] = result
+        return result
 
 
 def taylor_residual(r: RingElem, lift1: FrobLift, lift2: FrobLift) -> RingElem:

@@ -23,6 +23,7 @@ from .ffmodule import (
     InvariantViolationError,
     LogFFModule,
     _reduce_entry,
+    _trie_parent,
     check_flat,
     check_griffiths,
     divided_connection,
@@ -56,38 +57,64 @@ def _as_map(g) -> RingMap:
 
 
 def _require_valid_for_glue(module: LogFFModule):
+    cache = module._glue_cache
+    if cache.valid_for_glue:
+        return
     if not check_flat(module).ok:
         raise InvariantViolationError("flatness", "gluing needs an integrable connection")
     if not check_griffiths(module).ok:
         raise InvariantViolationError("griffiths", "gluing needs Griffiths transversality")
+    cache.valid_for_glue = True
 
 
 def _glue_columns(module: LogFFModule, g1: RingMap, g2: RingMap,
                   vectors: list[tuple[int, list[RingElem]]],
-                  mode: str = "ratio"):
+                  op=None, mode: str = "ratio"):
     """Shared engine: apply the gluing formula to (level, vector) pairs.
 
     Each vector must lie in Fil^level; the result is the list of tilde
     coordinate vectors over the target ring at the module's precision, plus
     the coefficient engine used.  The maps may carry extra precision
     (composites must; see work_precision).
+
+    op is the connection operator, falling_connection_op unless given; mode
+    selects the matching coefficient stream of DividedCoeffs.  The module's
+    GlueCache supplies the operator vectors of its basis vectors and the
+    coefficients of a repeated (g1, g2, mode); any other vector gets an
+    operator memo that lives for this call only.
     """
     a, b = module.hodge_range
     base_n = module.spec.n
     if g1.source.with_precision(base_n) != module.spec:
         raise SpecMismatchError("maps must start at the module's ring")
-    coeffs = DividedCoeffs(g1, g2, width=b - a, mode=mode, base_n=base_n)
+    if op is None:
+        op = falling_connection_op
+    cache = module._glue_cache
+    key = (g1, g2, mode)
+    entry = cache.coeffs
+    if entry is None or entry[0] != key:
+        entry = (key, DividedCoeffs(g1, g2, width=b - a, mode=mode, base_n=base_n))
+        cache.coeffs = entry
+    coeffs = entry[1]
     g2_base = g2.with_precision(base_n)
     target = coeffs.base_spec
     levels = module.levels
+    connection = list(module.connection)
+    basis = [module.basis_vector(k) for k in range(module.rank)]
     columns = []
     for i, vec in vectors:
+        if vec in basis:
+            memo = cache.operator_memos.setdefault((op, basis.index(vec)), {})
+        else:
+            memo = {}
         out = [RingElem.zero(target) for _ in range(module.rank)]
         for c in range(coeffs.stop):
             p_exp = min(i - a, c)
             lvl = max(a, i - c)
             for index in multi_indices(module.spec.d, c):
-                w = falling_connection_op(list(module.connection), vec, index)
+                w = memo.get(index)
+                if w is None:
+                    w = op(connection, vec, index, memo=memo)
                 if all(x.is_zero() for x in w):
                     continue
                 coeff = coeffs.coeff(index, p_exp)
@@ -107,6 +134,14 @@ def _glue_columns(module: LogFFModule, g1: RingMap, g2: RingMap,
     return columns, coeffs
 
 
+def _basis_glue(module: LogFFModule, g1: RingMap, g2: RingMap, op=None, mode: str = "ratio"):
+    """_glue_columns on the basis vectors, as a matrix (column k for e_k)."""
+    vectors = [(module.levels[k], module.basis_vector(k)) for k in range(module.rank)]
+    columns, coeffs = _glue_columns(module, g1, g2, vectors, op, mode)
+    rows = [[columns[k][m] for k in range(module.rank)] for m in range(module.rank)]
+    return Matrix(coeffs.base_spec, rows), coeffs
+
+
 def glue_map(module: LogFFModule, g1, g2) -> GlueMap:
     """The gluing matrix between the g1- and g2-twists of the tilde module.
 
@@ -116,10 +151,8 @@ def glue_map(module: LogFFModule, g1, g2) -> GlueMap:
     """
     _require_valid_for_glue(module)
     m1, m2 = _as_map(g1), _as_map(g2)
-    vectors = [(module.levels[k], module.basis_vector(k)) for k in range(module.rank)]
-    columns, coeffs = _glue_columns(module, m1, m2, vectors)
-    rows = [[columns[k][m] for k in range(module.rank)] for m in range(module.rank)]
-    return GlueMap(m1, m2, Matrix(coeffs.base_spec, rows), coeffs.stop, coeffs.design_bound)
+    matrix, coeffs = _basis_glue(module, m1, m2)
+    return GlueMap(m1, m2, matrix, coeffs.stop, coeffs.design_bound)
 
 
 def check_glue_identity(module: LogFFModule, lift) -> bool:
@@ -177,17 +210,32 @@ def check_glue_horizontal(module: LogFFModule, l1: FrobLift, l2: FrobLift) -> bo
     return True
 
 
-def _ordinary_connection_op(module: LogFFModule, vec: list[RingElem],
-                            index: tuple[int, ...]) -> list[RingElem]:
-    # iterated nabla(d/dT_j) = entrywise d/dT_j plus A_j T_j^{-1}
-    spec = module.spec
-    out = list(vec)
-    for j0, ij in enumerate(index):
-        tinv = RingElem.variable(spec, j0 + 1, -1)
-        B = module.connection[j0].scale(tinv)
-        for _ in range(ij):
-            applied = B.mul_vec(out)
-            out = [x + v.d_dT(j0 + 1) for x, v in zip(applied, out)]
+def _ordinary_connection_op(connection: list[Matrix], vec: list[RingElem],
+                            index: tuple[int, ...], *, memo: dict) -> list[RingElem]:
+    """Iterated nabla(d/dT_j) = entrywise d/dT_j plus A_j T_j^{-1}, slot by slot.
+
+    Built along the index trie like falling_connection_op with a memo: the
+    last factor is one application of the ordinary operator of the last
+    nonzero slot.
+    """
+    got = memo.get(index)
+    if got is not None:
+        return got
+    step = _trie_parent(index)
+    if step is None:
+        out = list(vec)
+    else:
+        j0, parent = step
+        prev = memo.get(parent)
+        if prev is None:
+            prev = _ordinary_connection_op(connection, vec, parent, memo=memo)
+        if all(v.is_zero() for v in prev):
+            out = prev
+        else:
+            tinv = RingElem.variable(connection[j0].spec, j0 + 1, -1)
+            applied = connection[j0].scale(tinv).mul_vec(prev)
+            out = [x + v.d_dT(j0 + 1) for x, v in zip(applied, prev)]
+    memo[index] = out
     return out
 
 
@@ -196,41 +244,10 @@ def check_nonlog_agreement(module: LogFFModule, l1: FrobLift, l2: FrobLift) -> b
     classical one built from ordinary derivations and (Phi(T) - Psi(T))^I."""
     if module.spec.s != 0:
         raise ValueError("non-log comparison needs all slots Laurent (s = 0)")
-    _require_valid_for_glue(module)
     G = glue_map(module, l1, l2).matrix
-    m1, m2 = _as_map(l1), _as_map(l2)
-    a, b = module.hodge_range
-    base_n = module.spec.n
-    coeffs = DividedCoeffs(m1, m2, width=b - a, mode="difference", base_n=base_n)
-    g2_base = m2.with_precision(base_n)
-    levels = module.levels
-    target = coeffs.base_spec
-    rows = [[RingElem.zero(target) for _ in range(module.rank)] for _ in range(module.rank)]
-    for k in range(module.rank):
-        i = levels[k]
-        vec = module.basis_vector(k)
-        for c in range(coeffs.stop):
-            p_exp = min(i - a, c)
-            lvl = max(a, i - c)
-            for index in multi_indices(module.spec.d, c):
-                w = _ordinary_connection_op(module, vec, index)
-                if all(x.is_zero() for x in w):
-                    continue
-                coeff = coeffs.coeff(index, p_exp)
-                if coeff.is_zero():
-                    continue
-                for m, wm in enumerate(w):
-                    if wm.is_zero():
-                        continue
-                    if levels[m] < lvl:
-                        if not _reduce_entry(wm, module.basis[m].torsion).is_zero():
-                            raise ElementNotInFilError(
-                                f"operator output leaves Fil^{lvl} on row {m}")
-                        continue
-                    factor = module.spec.p ** (levels[m] - lvl)
-                    rows[m][k] = rows[m][k] + g2_base.apply(wm).scale(factor) * coeff
-    other = Matrix(target, rows)
-    return G.eq_mod_rows(other, module.torsions)
+    classical, _ = _basis_glue(module, _as_map(l1), _as_map(l2),
+                               op=_ordinary_connection_op, mode="difference")
+    return G.eq_mod_rows(classical, module.torsions)
 
 
 def transport(module: LogFFModule, new_lift: FrobLift) -> LogFFModule:

@@ -25,15 +25,18 @@ from logff.ffmodule import (
 )
 from logff.fixtures import (
     check_corpus,
+    glue_corpus,
     mixed_torsion,
     negative_controls,
     nil2,
     pulled_back_nil2,
     rank1_flat,
     random_elem,
+    random_lift,
 )
-from logff.logring import FrobLift, RingElem, RingSpec, multi_indices
+from logff.logring import FrobLift, RingElem, RingSpec, multi_indices, stop_shell
 from logff.matrices import Matrix
+from logff.transport import transport
 
 
 def _nilmat(spec):
@@ -256,6 +259,38 @@ class TestOperatorIdentity:
                         term = falling_connection_op(conn, vec, K)
                         rhs = [x + t.scale(a) for x, t in zip(rhs, term)]
                     assert lhs == rhs, (I, J)
+
+
+def _memo_corpus():
+    out = glue_corpus(5, 2)
+    base = nil2(5, 2, d=2, s=1)
+    out.append(("transported", transport(base, random_lift(random.Random(17), base.spec))))
+    out.append(("pulled_back", pulled_back_nil2(5, 2)))
+    return out
+
+
+MEMO_CORPUS = _memo_corpus()
+
+
+class TestOperatorMemo:
+    @pytest.mark.parametrize("name,mod", MEMO_CORPUS, ids=[name for name, _ in MEMO_CORPUS])
+    def test_memo_equals_direct_below_stop_shell(self, name, mod):
+        a, b = mod.hodge_range
+        stop = stop_shell(mod.spec.p, mod.spec.n, b - a)
+        indices = [idx for c in range(stop) for idx in multi_indices(mod.spec.d, c)]
+        conn = list(mod.connection)
+        r = random_elem(random.Random(name), mod.spec)
+        vectors = [mod.basis_vector(k) for k in range(mod.rank)]
+        vectors.append([x * r for x in mod.basis_vector(mod.rank - 1)])
+        for vec in vectors:
+            in_order, shuffled = {}, {}
+            for idx in indices:
+                assert falling_connection_op(conn, vec, idx, memo=in_order) == \
+                    falling_connection_op(conn, vec, idx), idx
+            # out of shell order the memo fills in missing ancestors itself
+            for idx in random.Random(3).sample(indices, len(indices)):
+                assert falling_connection_op(conn, vec, idx, memo=shuffled) == in_order[idx]
+            assert shuffled.keys() == in_order.keys()
 
 
 class TestRootPullback:

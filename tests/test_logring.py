@@ -6,6 +6,7 @@ from logff.exactnum import modinv
 from logff.ffcoeff import multi_structure_constants
 from logff.logring import (
     DividedCoeffs,
+    WorkingPrecisionError,
     FrobLift,
     LiftMismatchError,
     RingElem,
@@ -193,6 +194,22 @@ class TestRingMap:
             assert comp.apply(r) == g.apply(f.apply(r))
 
 
+    def test_hash_agrees_with_eq(self):
+        rng = random.Random(47)
+        spec = RingSpec(5, 2, 2, 1)
+        h = random_elem(rng, spec)
+        images = [(2, (1, 0), h), (1, (0, 1), RingElem.zero(spec))]
+        f = RingMap(spec, spec, images)
+        same = RingMap(spec, spec, [(27, (1, 0), RingElem(spec, dict(h.terms))),
+                                    (1, (0, 1), RingElem.zero(spec))])   # 27 = 2 mod 25
+        assert f == same and hash(f) == hash(same)
+        assert len({f, same, f.with_precision(2)}) == 1
+        other = RingMap(spec, spec, [(2, (1, 0), h + RingElem.one(spec)),
+                                     (1, (0, 1), RingElem.zero(spec))])
+        assert f != other and len({f, other}) == 2
+        assert f != f.with_precision(3) and len({f, f.with_precision(3)}) == 2
+
+
 class TestLocalize:
     def test_examples(self):
         spec = RingSpec(5, 1, 1, 1)
@@ -246,6 +263,22 @@ class TestTruncation:
         h = RingMap(spec, spec, [(1, (10,), RingElem.zero(spec))])
         with pytest.raises(LiftMismatchError):
             DividedCoeffs(f, h, width=0)
+
+    def test_working_precision_error_before_memo(self):
+        spec = RingSpec(5, 2, 1, 1)
+        l1 = FrobLift(spec, [RingElem.const(spec, 3)])
+        engine = DividedCoeffs(l1.as_ring_map(), FrobLift.standard(spec).as_ring_map(), width=1)
+        reference = engine.coeff((3,), 1)
+        engine = DividedCoeffs(l1.as_ring_map(), FrobLift.standard(spec).as_ring_map(), width=1)
+        work_n = engine.work_n
+        engine.work_n = engine.n
+        with pytest.raises(WorkingPrecisionError):
+            engine.coeff((3,), 1)
+        assert ((3,), 1) not in engine._coeffs
+        with pytest.raises(AssertionError):   # still an internal assertion failure
+            engine.coeff((3,), 1)
+        engine.work_n = work_n
+        assert engine.coeff((3,), 1) == reference
 
 
 def test_degenerate_no_coordinates():

@@ -4,6 +4,7 @@ import pytest
 
 from logff.ffmodule import (
     BasisVector,
+    InvariantViolationError,
     LogFFModule,
     root_map,
     run_all_checks,
@@ -17,9 +18,11 @@ from logff.fixtures import (
     random_elem,
     random_lift,
 )
-from logff.logring import FrobLift, RingElem, RingMap, RingSpec
+from logff.logring import FrobLift, RingElem, RingMap, RingSpec, multi_indices, stop_shell
 from logff.matrices import Matrix
+from logff.modfile import parse_module_file
 from logff.transport import (
+    _ordinary_connection_op,
     check_glue_cocycle,
     check_glue_horizontal,
     check_glue_identity,
@@ -374,3 +377,106 @@ class TestWideRangeEmpirical:
             assert check_glue_linearity(chain, l1, l2, random_elem(rng, spec))
             moved = transport(chain, l1)
             assert all(v.ok for v in run_all_checks(moved).values())
+
+
+def _ordinary_direct(connection, vec, index):
+    # the slot-by-slot loop the memoized operator must reproduce
+    out = list(vec)
+    for j0, ij in enumerate(index):
+        B = connection[j0].scale(RingElem.variable(connection[j0].spec, j0 + 1, -1))
+        for _ in range(ij):
+            applied = B.mul_vec(out)
+            out = [x + v.d_dT(j0 + 1) for x, v in zip(applied, out)]
+    return out
+
+
+def _glue_suite(mod, lifts, order):
+    """Results of glue_map and the check_glue_* functions, run in `order`."""
+    l1, l2, l3 = lifts
+    calls = {
+        "glue12": lambda: glue_map(mod, l1, l2).matrix,
+        "glue21": lambda: glue_map(mod, l2, l1).matrix,
+        "identity": lambda: check_glue_identity(mod, l2),
+        "cocycle": lambda: check_glue_cocycle(mod, l1, l2, l3),
+        "horizontal": lambda: check_glue_horizontal(mod, l1, l2),
+        "linearity": lambda: check_glue_linearity(mod, l1, l2, RingElem.variable(mod.spec, 1)),
+        "linearity_one": lambda: check_glue_linearity(mod, l2, l3, RingElem.one(mod.spec)),
+    }
+    if mod.spec.s == 0:
+        calls["nonlog"] = lambda: check_nonlog_agreement(mod, l1, l2)
+    return {name: calls[name]() for name in (order if order else calls)}
+
+
+class TestGlueCache:
+    ORDER = ("linearity", "cocycle", "glue21", "nonlog", "horizontal", "glue12",
+             "linearity_one", "identity")
+
+    @pytest.mark.parametrize("name,factory", [
+        ("nil2_s0", lambda: nil2(5, 2, s=0)),
+        ("rank3", lambda: rank3_chain(5, 2)),
+        ("mixed", lambda: mixed_torsion(5, 2)),
+        ("nil2_d2s1", lambda: nil2(5, 2, d=2, s=1)),
+    ])
+    def test_results_do_not_depend_on_call_order(self, name, factory):
+        rng = random.Random(name)
+        probe = factory()
+        lifts = [random_lift(rng, probe.spec) for _ in range(3)]
+        order = [k for k in self.ORDER if k != "nonlog" or probe.spec.s == 0]
+        one_module = factory()
+        forward = _glue_suite(one_module, lifts, None)
+        backward = _glue_suite(one_module, lifts, order)
+        fresh = {key: _glue_suite(factory(), lifts, [key])[key] for key in forward}
+        assert forward == backward == fresh
+        assert all(v for k, v in forward.items() if not k.startswith("glue"))
+
+    def test_derived_modules_start_with_an_empty_cache(self):
+        mod = nil2(5, 2, d=2, s=1)
+        rng = random.Random(5)
+        l1, l2 = random_lift(rng, mod.spec), random_lift(rng, mod.spec)
+        assert check_glue_cocycle(mod, l1, l2, mod.lift)
+        cache = mod._glue_cache
+        assert cache.operator_memos and cache.coeffs is not None and cache.valid_for_glue
+        f = RingMap(mod.spec, mod.spec,
+                    [(1, (1, 0), RingElem.variable(mod.spec, 1)),
+                     (1, (0, 1), RingElem.zero(mod.spec))])
+        derived = [transport(mod, l1), mod.with_frobenius(mod.frobenius, l2),
+                   pullback_ff(mod, f, mod.lift)]
+        for other in derived:
+            empty = other._glue_cache
+            assert empty is not cache
+            assert (empty.operator_memos, empty.coeffs, empty.valid_for_glue) == ({}, None, False)
+
+    def test_failing_gate_raises_on_every_call(self, fixture_dir):
+        text = (fixture_dir / "bad_flat_p5n2.json").read_text()
+        mod, lifts = parse_module_file(text)
+        phi = lifts["Phi"]
+        for _ in range(3):
+            with pytest.raises(InvariantViolationError):
+                glue_map(mod, phi, phi)
+        assert not mod._glue_cache.valid_for_glue
+
+    def test_basis_vectors_share_memos_and_other_vectors_do_not(self):
+        mod = rank3_chain(5, 2)
+        l1, l2 = standard_pair(mod.spec)
+        glue_map(mod, l1, l2)
+        memos = dict(mod._glue_cache.operator_memos)
+        assert len(memos) == mod.rank
+        assert check_glue_linearity(mod, l1, l2, RingElem.one(mod.spec))
+        assert check_glue_linearity(mod, l1, l2, RingElem.variable(mod.spec, 1))
+        assert mod._glue_cache.operator_memos.keys() == memos.keys()
+        assert all(mod._glue_cache.operator_memos[k] is memos[k] for k in memos)
+
+    @pytest.mark.parametrize("factory", [lambda: nil2(5, 2, s=0), lambda: rank1_flat(5, 2, s=0, unit=2)])
+    def test_ordinary_operator_memo_equals_slot_loop(self, factory):
+        mod = factory()
+        a, b = mod.hodge_range
+        stop = stop_shell(mod.spec.p, mod.spec.n, b - a)
+        conn = list(mod.connection)
+        r = random_elem(random.Random(9), mod.spec)
+        for vec in [mod.basis_vector(k) for k in range(mod.rank)] + \
+                [[x * r for x in mod.basis_vector(0)]]:
+            memo = {}
+            for c in range(stop):
+                for idx in multi_indices(mod.spec.d, c):
+                    assert _ordinary_connection_op(conn, vec, idx, memo=memo) == \
+                        _ordinary_direct(conn, vec, idx)
