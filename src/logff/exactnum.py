@@ -1,9 +1,15 @@
 """Exact rational arithmetic with p-adic valuation bookkeeping.
 
-Every divided-power division in this package funnels through `reduce_mod`:
-the quotient is formed as an exact `fractions.Fraction` and only reduced
-into Z/p^n after its p-adic valuation has been checked.  A division that is
-not p-integral raises `NonIntegralError` instead of truncating silently.
+A divided-power coefficient c / (I! * p^e) is never truncated.  Write
+I! * p^e = p^v * u with u prime to p (v = e + v_p(I!), see
+`factorial_valp`).  `logring.DividedCoeffs.coeff` first divides c by p^v
+as an integer, and a nonzero remainder raises `NonIntegralError`; it then
+multiplies the quotient by the inverse of u mod p^n, which `reduce_mod`
+computes once per coefficient from the exact `fractions.Fraction`
+p^v / (I! * p^e).  `reduce_mod` checks the p-adic valuation of any
+rational before reducing it into Z/p^n, so a division that is not
+p-integral raises `NonIntegralError` on either path instead of truncating
+silently.
 
 Rationals are plain `fractions.Fraction` (already gcd-reduced, denominator
 positive).  Residues are canonical integer representatives in [0, p^n).

@@ -10,17 +10,23 @@ logarithmic Taylor formula.
 Internally the 1-form frame is dlog T_j = dT_j/T_j for every slot, with dual
 derivations delta_j = T_j d/dT_j; non-divisor slots are Laurent so this loses
 nothing.  Divided coefficients such as (Phi(T)/Psi(T)-1)^I / I! are computed
-at a raised working precision and pushed through `exactnum.reduce_mod`, so
-every division by p is an exact, checked operation.
+at a raised working precision; each coefficient is then divided by the
+power of p in I! * p^e with a checked integer division (a nonzero remainder
+raises `exactnum.NonIntegralError`) and multiplied by the inverse of the
+unit part of I!, which `exactnum.reduce_mod` supplies.  So every division
+by p is an exact, checked operation.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, factorial
+from functools import cached_property
+from math import ceil, factorial, gcd
+from operator import add
 
-from .exactnum import factorial_valp, modinv, reduce_mod
+from .exactnum import NonIntegralError, factorial_valp, modinv, reduce_mod
 
 
 class SpecMismatchError(ValueError):
@@ -60,7 +66,7 @@ class RingSpec:
         if not 0 <= self.s <= self.d:
             raise ValueError("need 0 <= s <= d")
 
-    @property
+    @cached_property
     def q(self) -> int:
         return self.p ** self.n
 
@@ -71,19 +77,47 @@ class RingSpec:
         return RingSpec(self.p, self.n, self.d, 0)
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# the least strong pseudoprime to all twelve bases above (OEIS A014233)
+_MR_LIMIT = 318665857834031151167461
+
+
 def _is_prime(m: int) -> bool:
+    """Deterministic Miller-Rabin over the first twelve primes.
+
+    Exact for every m below _MR_LIMIT (about 3.2*10^23); larger m are
+    refused with ValueError rather than answered probabilistically.
+    """
+    if m >= _MR_LIMIT:
+        raise ValueError(f"p = {m} is beyond the supported bound {_MR_LIMIT}")
     if m < 2:
         return False
-    f = 2
-    while f * f <= m:
-        if m % f == 0:
+    for b in _MR_BASES:
+        if m % b == 0:
+            return m == b
+    d, r = m - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_BASES:
+        x = pow(a, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
             return False
-        f += 1
     return True
 
 
 def falling(x: int, m: int) -> int:
-    """Falling factorial x(x-1)...(x-m+1); defined for any integer x."""
+    """Falling factorial x(x-1)...(x-m+1); defined for any integer x.
+
+    >>> falling(5, 2), falling(2, 3), falling(-1, 2)
+    (20, 0, 2)
+    """
     out = 1
     for t in range(m):
         out *= x - t
@@ -116,6 +150,19 @@ class RingElem:
         self.spec = spec
         self.terms = clean
 
+    @classmethod
+    def _trusted(cls, spec: RingSpec, terms: dict[tuple[int, ...], int]) -> "RingElem":
+        """Wrap terms that are already canonical, skipping the checks of __init__.
+
+        Only for results of ring operations on valid elements: every
+        coefficient in [1, q), exponent vectors of length d, divisor-slot
+        exponents nonnegative.  The dict is taken over, not copied.
+        """
+        elem = object.__new__(cls)
+        elem.spec = spec
+        elem.terms = terms
+        return elem
+
     # -- constructors -------------------------------------------------
 
     @classmethod
@@ -146,7 +193,7 @@ class RingElem:
     # -- ring structure ------------------------------------------------
 
     def _check(self, other: "RingElem"):
-        if self.spec != other.spec:
+        if self.spec is not other.spec and self.spec != other.spec:
             raise SpecMismatchError(f"{self.spec} vs {other.spec}")
 
     def __add__(self, other: "RingElem") -> "RingElem":
@@ -159,11 +206,11 @@ class RingElem:
                 out[exps] = r
             else:
                 out.pop(exps, None)
-        return RingElem(self.spec, out)
+        return RingElem._trusted(self.spec, out)
 
     def __neg__(self) -> "RingElem":
         q = self.spec.q
-        return RingElem(self.spec, {e: q - c for e, c in self.terms.items()})
+        return RingElem._trusted(self.spec, {e: q - c for e, c in self.terms.items()})
 
     def __sub__(self, other: "RingElem") -> "RingElem":
         return self + (-other)
@@ -179,20 +226,25 @@ class RingElem:
                 c = c1 * c2 % q
                 if c == 0:
                     continue
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 r = (out.get(e, 0) + c) % q
                 if r:
                     out[e] = r
                 else:
                     out.pop(e, None)
-        return RingElem(self.spec, out)
+        return RingElem._trusted(self.spec, out)
 
     __rmul__ = __mul__
 
     def scale(self, c: int) -> "RingElem":
         q = self.spec.q
         c %= q
-        return RingElem(self.spec, {e: c * v for e, v in self.terms.items()})
+        out = {}
+        for e, v in self.terms.items():
+            r = c * v % q
+            if r:
+                out[e] = r
+        return RingElem._trusted(self.spec, out)
 
     def __pow__(self, m: int) -> "RingElem":
         if m < 0:
@@ -635,7 +687,11 @@ class DividedCoeffs:
         g1w = g1.with_precision(self.work_n)
         g2w = g2.with_precision(self.work_n)
         one = RingElem.one(wspec)
-        self.x: list[RingElem] = []
+        self._work_q = wspec.q
+        # p^k -> k for k < work_n: the valuation of a residue c in [1, p^work_n)
+        # is read off gcd(c, p^work_n)
+        self._valuation_of = {p ** k: k for k in range(self.work_n)}
+        self._x: list[dict] = []
         for j in range(g1.source.d):
             if mode == "ratio":
                 c1, e1, h1 = g1w.images[j]
@@ -650,18 +706,59 @@ class DividedCoeffs:
                 xj = g1w.image_elem(j + 1) - g2w.image_elem(j + 1)
             if not xj.divisible_by_p():
                 raise LiftMismatchError(f"maps do not agree mod p on slot {j + 1}")
-            self.x.append(xj)
-        self._powers: dict[tuple[int, ...], RingElem] = {(0,) * g1.source.d: one}
+            self._x.append(self._graded(xj.terms))
+        self._powers: dict[tuple[int, ...], dict] = {
+            (0,) * g1.source.d: self._graded(one.terms)}
         self._coeffs: dict[tuple[tuple[int, ...], int], RingElem] = {}
 
-    def _power(self, index: tuple[int, ...]) -> RingElem:
+    def _graded(self, terms: dict[tuple[int, ...], int]) -> dict:
+        """Residues mod p^work_n grouped by exact p-adic valuation.
+
+        Maps v to a pair of parallel lists (exponent vectors, coefficients);
+        zero residues are dropped.
+        """
+        q = self._work_q
+        valuation_of = self._valuation_of
+        out: dict[int, tuple[list, list]] = {}
+        for e, c in terms.items():
+            c %= q
+            if c:
+                v = valuation_of[gcd(c, q)]
+                bucket = out.get(v)
+                if bucket is None:
+                    bucket = out[v] = ([], [])
+                bucket[0].append(e)
+                bucket[1].append(c)
+        return out
+
+    def _power(self, index: tuple[int, ...]) -> dict:
+        """x^I mod p^work_n in graded form (see _graded), memoized along the index trie.
+
+        Every x_j is divisible by p, so most coefficient pairs of a product
+        x^{I - e_j} * x_j have valuation v1 + v2 >= work_n and vanish; the
+        grading skips such a bucket pair without touching its terms, and the
+        raw products are reduced mod p^work_n once per output term.  This
+        loop is private to DividedCoeffs on purpose: for the small one-shot
+        products of RingElem.__mul__ the grading costs more than it saves.
+        """
         got = self._powers.get(index)
         if got is not None:
             return got
         j0 = next(i for i, v in enumerate(index) if v)
         parent = list(index)
         parent[j0] -= 1
-        out = self._power(tuple(parent)) * self.x[j0]
+        left = self._power(tuple(parent))
+        right = self._x[j0]
+        work_n = self.work_n
+        acc: defaultdict[tuple[int, ...], int] = defaultdict(int)
+        for v1, (exps1, coeffs1) in left.items():
+            for v2, (exps2, coeffs2) in right.items():
+                if v1 + v2 >= work_n:
+                    continue
+                for e1, c1 in zip(exps1, coeffs1):
+                    for e2, c2 in zip(exps2, coeffs2):
+                        acc[tuple(map(add, e1, e2))] += c1 * c2
+        out = self._graded(acc)
         self._powers[index] = out
         return out
 
@@ -674,16 +771,30 @@ class DividedCoeffs:
         got = self._coeffs.get(key)
         if got is not None:
             return got
-        fact = multi_factorial(index)
-        needed = self.n + p_exponent + sum(factorial_valp(i, self.p) for i in index)
-        if needed > self.work_n:
+        p, n = self.p, self.n
+        v = p_exponent + sum(factorial_valp(i, p) for i in index)
+        if n + v > self.work_n:
             raise WorkingPrecisionError(
-                f"coefficient {index} / p^{p_exponent} needs precision {needed}, "
+                f"coefficient {index} / p^{p_exponent} needs precision {n + v}, "
                 f"working precision is {self.work_n}")
-        denom = fact * self.p ** p_exponent
-        xI = self._power(index)
-        out = {e: reduce_mod(Fraction(c, denom), self.p, self.n) for e, c in xI.terms.items()}
-        result = RingElem(self.base_spec, out)
+        pv = p ** v
+        # I! * p^e = p^v * unit; invert the unit once for the whole coefficient
+        unit_inv = reduce_mod(Fraction(pv, multi_factorial(index) * p ** p_exponent), p, n)
+        q = self.base_spec.q
+        out = {}
+        for w, (exps, coeffs) in self._power(index).items():
+            if w >= v + n:
+                continue   # divisible by p^(v+n): the quotient vanishes mod p^n
+            for e, c in zip(exps, coeffs):
+                quotient, remainder = divmod(c, pv)
+                if remainder:
+                    raise NonIntegralError(
+                        f"coefficient of T^{e} in x^{index} is not divisible by "
+                        f"{index}! * {p}^{p_exponent}")
+                r = quotient * unit_inv % q
+                if r:
+                    out[e] = r
+        result = RingElem._trusted(self.base_spec, out)
         self._coeffs[key] = result
         return result
 

@@ -155,6 +155,15 @@ def glue_map(module: LogFFModule, g1, g2) -> GlueMap:
     return GlueMap(m1, m2, matrix, coeffs.stop, coeffs.design_bound)
 
 
+def _glue_for(module: LogFFModule, l1, l2, glue: GlueMap | None) -> GlueMap:
+    """glue if given (it must be the gluing of the same pair), else glue_map(module, l1, l2)."""
+    if glue is None:
+        return glue_map(module, l1, l2)
+    if (glue.source_map, glue.target_map) != (_as_map(l1), _as_map(l2)):
+        raise ValueError("the precomputed GlueMap belongs to another pair of lifts")
+    return glue
+
+
 def check_glue_identity(module: LogFFModule, lift) -> bool:
     """alpha computed against a single lift is the identity matrix."""
     g = glue_map(module, lift, lift)
@@ -162,9 +171,13 @@ def check_glue_identity(module: LogFFModule, lift) -> bool:
     return g.matrix.eq_mod_rows(ident, module.torsions)
 
 
-def check_glue_cocycle(module: LogFFModule, l1, l2, l3) -> bool:
-    """Transitivity G_{13} = G_{23} G_{12} of the gluing matrices."""
-    g12 = glue_map(module, l1, l2).matrix
+def check_glue_cocycle(module: LogFFModule, l1, l2, l3,
+                       glue: GlueMap | None = None) -> bool:
+    """Transitivity G_{13} = G_{23} G_{12} of the gluing matrices.
+
+    A precomputed GlueMap for (l1, l2) may be passed as G_{12}.
+    """
+    g12 = _glue_for(module, l1, l2, glue).matrix
     g23 = glue_map(module, l2, l3).matrix
     g13 = glue_map(module, l1, l3).matrix
     return g13.eq_mod_rows(g23 * g12, module.torsions)
@@ -180,7 +193,7 @@ def check_glue_linearity(module: LogFFModule, l1, l2, r: RingElem,
     """
     _require_valid_for_glue(module)
     m1, m2 = _as_map(l1), _as_map(l2)
-    g = glue if glue is not None else glue_map(module, m1, m2)
+    g = _glue_for(module, m1, m2, glue)
     r_image = m1.with_precision(module.spec.n).apply(r)
     vectors = []
     for k in range(module.rank):
@@ -196,9 +209,13 @@ def check_glue_linearity(module: LogFFModule, l1, l2, r: RingElem,
     return True
 
 
-def check_glue_horizontal(module: LogFFModule, l1: FrobLift, l2: FrobLift) -> bool:
-    """Parallelism: delta_j(G) + A'_j(l2) G = G A'_j(l1) for every slot."""
-    g = glue_map(module, l1, l2)
+def check_glue_horizontal(module: LogFFModule, l1: FrobLift, l2: FrobLift,
+                          glue: GlueMap | None = None) -> bool:
+    """Parallelism: delta_j(G) + A'_j(l2) G = G A'_j(l1) for every slot.
+
+    A precomputed GlueMap for the same pair may be passed as G.
+    """
+    g = _glue_for(module, l1, l2, glue)
     div1 = divided_connection(module, l1)
     div2 = divided_connection(module, l2)
     G = g.matrix

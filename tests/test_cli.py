@@ -53,6 +53,16 @@ class TestCheck:
                          "--mode", "wide-range")
         assert code == 0
 
+    @pytest.mark.parametrize("p", [9, 15, 21, 25, 10 ** 30 + 57])
+    def test_composite_or_huge_p_exit_2(self, fixture_dir, capsys, tmp_path, p):
+        doc = json.loads((fixture_dir / "nil2_p5n1.json").read_text())
+        doc["ring"]["p"] = p
+        path = tmp_path / "bad_p.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "check", str(path))
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_json_report_deterministic(self, fixture_dir, capsys):
         path = str(fixture_dir / "nil2_p5n1.json")
         _, out1, _ = run(capsys, "check", path, "--format", "json")
@@ -84,6 +94,35 @@ class TestGlue:
                            "--format", "json")
         assert code == 0
         assert json.loads(out)["verdicts"]["cocycle"] is True
+
+    def test_third_computes_each_gluing_once(self, fixture_dir, capsys, monkeypatch):
+        import importlib
+
+        import logff.cli as cli
+        from logff.modfile import parse_module_file
+        from logff.transport import check_glue_cocycle, check_glue_horizontal, glue_map
+
+        path = fixture_dir / "nil2_p5n2.json"
+        transport_module = importlib.import_module("logff.transport")
+        pairs = []
+
+        def counting(module, g1, g2):
+            pairs.append((g1, g2))
+            return glue_map(module, g1, g2)
+
+        monkeypatch.setattr(transport_module, "glue_map", counting)
+        monkeypatch.setattr(cli, "glue_map", counting)
+        code, out, _ = run(capsys, "glue", str(path), "Phi", "Psi", "--third", "Chi",
+                           "--format", "json")
+        monkeypatch.undo()
+        assert code == 0
+        module, lifts = parse_module_file(path.read_text())
+        l1, l2, l3 = lifts["Phi"], lifts["Psi"], lifts["Chi"]
+        assert pairs == [(l1, l2), (l2, l3), (l1, l3)]
+        doc = json.loads(out)
+        assert doc["matrix"] == [[str(x) for x in row] for row in glue_map(module, l1, l2).matrix.rows]
+        assert doc["verdicts"]["horizontality"] is check_glue_horizontal(module, l1, l2) is True
+        assert doc["verdicts"]["cocycle"] is check_glue_cocycle(module, l1, l2, l3) is True
 
     def test_unknown_lift_exit_2(self, fixture_dir, capsys):
         code, _, err = run(capsys, "glue", str(fixture_dir / "nil2_p5n1.json"),

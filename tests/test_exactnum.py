@@ -84,3 +84,15 @@ def test_reduce_mod_is_ring_homomorphism():
 def test_modinv_rejects_non_units():
     with pytest.raises(ValueError):
         modinv(10, 25)
+
+
+@pytest.mark.parametrize("module_name", ["logff.exactnum", "logff.logring"])
+def test_docstring_examples(module_name):
+    # run here rather than with --doctest-modules, which would also import
+    # the demos and scripts
+    import doctest
+    import importlib
+
+    result = doctest.testmod(importlib.import_module(module_name))
+    assert result.attempted > 0
+    assert result.failed == 0

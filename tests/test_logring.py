@@ -370,3 +370,206 @@ def test_divided_coeffs_against_fraction_oracle():
                     got = engine.coeff((k,), e)
                     expected = reduce_mod(exact, p, n)
                     assert got == RingElem.const(spec, expected), (p, n, a, b, k, e)
+
+
+# -- the divided-coefficient engine against the product-and-Fraction formula ----
+
+from fractions import Fraction  # noqa: E402
+
+from logff.exactnum import NonIntegralError, factorial_valp, reduce_mod  # noqa: E402
+from logff.fixtures import glue_corpus  # noqa: E402
+from logff.logring import multi_factorial, work_precision  # noqa: E402
+
+
+class ReferenceCoeffs:
+    """x^I / (I! * p^e) by the direct formula: x^I as a plain RingElem product
+    of the x_j at the working precision, then reduce_mod(Fraction(c, I! * p^e))
+    on every term."""
+
+    def __init__(self, g1, g2, width, mode="ratio", base_n=None):
+        p = g1.target.p
+        self.p = p
+        self.n = base_n if base_n is not None else g1.target.n
+        self.base_spec = g1.target.with_precision(self.n)
+        self.work_n = work_precision(p, self.n, width)
+        g1w, g2w = g1.with_precision(self.work_n), g2.with_precision(self.work_n)
+        one = RingElem.one(g1w.target)
+        self.x = []
+        for j in range(g1.source.d):
+            if mode == "ratio":
+                c1, _, h1 = g1w.images[j]
+                c2, _, h2 = g2w.images[j]
+                num = (one + h1.scale(p)).scale(c1)
+                den = (one + h2.scale(p)).scale(c2)
+                self.x.append(num * den.invert_unit() - one)
+            else:
+                self.x.append(g1w.image_elem(j + 1) - g2w.image_elem(j + 1))
+        self.powers = {(0,) * g1.source.d: one}
+
+    def power(self, index):
+        # built from the last nonzero slot, the engine builds from the first
+        got = self.powers.get(index)
+        if got is None:
+            j0 = max(j for j, i in enumerate(index) if i)
+            parent = index[:j0] + (index[j0] - 1,) + index[j0 + 1:]
+            got = self.powers[index] = self.power(parent) * self.x[j0]
+        return got
+
+    def coeff(self, index, p_exponent):
+        denom = multi_factorial(index) * self.p ** p_exponent
+        return RingElem(self.base_spec, {
+            e: reduce_mod(Fraction(c, denom), self.p, self.n)
+            for e, c in self.power(index).terms.items()})
+
+
+def _outcome(engine, index, p_exponent):
+    try:
+        return engine.coeff(index, p_exponent)
+    except NonIntegralError:
+        return NonIntegralError
+
+
+def _assert_engines_agree(g1, g2, width, mode="ratio", base_n=None, every_exponent=False):
+    """coeff(I, e) of DividedCoeffs equals the reference for every |I| < stop and
+    every e the shell sum uses (e <= min(width, |I|)); with every_exponent, for
+    every e the working precision allows, where both must raise or both agree."""
+    engine = DividedCoeffs(g1, g2, width=width, mode=mode, base_n=base_n)
+    reference = ReferenceCoeffs(g1, g2, width, mode=mode, base_n=base_n)
+    assert reference.work_n == engine.work_n
+    d = g1.source.d
+    raised = 0
+    for c in range(engine.stop):
+        for index in multi_indices(d, c):
+            top = min(width, c)
+            if every_exponent:
+                top = engine.work_n - engine.n - sum(factorial_valp(i, engine.p) for i in index)
+            for e in range(top + 1):
+                got = _outcome(engine, index, e)
+                assert got == _outcome(reference, index, e), (index, e)
+                raised += got is NonIntegralError
+                assert e > min(width, c) or got is not NonIntegralError, (index, e)
+    return raised
+
+
+@pytest.mark.parametrize("name", [name for name, _ in glue_corpus(5, 2)])
+def test_divided_coeffs_match_reference_on_glue_corpus(name):
+    module = dict(glue_corpus(5, 2))[name]
+    rng = random.Random(f"coeff-differential:{name}")
+    a, b = module.hodge_range
+    g1 = random_lift(rng, module.spec).as_ring_map()
+    g2 = module.lift.as_ring_map()
+    raised = _assert_engines_agree(g1, g2, b - a, every_exponent=True)
+    assert raised > 0   # the wider exponent range reaches non-integral divisions
+    if module.spec.s == 0:
+        _assert_engines_agree(g1, g2, b - a, mode="difference")
+
+
+@pytest.mark.parametrize("p,n,d", [(5, 8, 2), (7, 6, 2), (3, 8, 2)])
+def test_divided_coeffs_match_reference_on_taylor_cells(p, n, d):
+    spec = RingSpec(p, n, d, d)
+    rng = random.Random(f"coeff-differential:{p},{n},{d}")
+    l1, l2 = random_lift(rng, spec), random_lift(rng, spec)
+    _assert_engines_agree(l1.as_ring_map(), l2.as_ring_map(), 0)
+
+
+def test_divided_coeffs_non_integral_on_both_paths():
+    # x_1 = (1 + p)/1 - 1 = p has valuation exactly 1, so x_1 / p^2 is not integral
+    spec = RingSpec(5, 2, 2, 1)
+    l1 = FrobLift(spec, [RingElem.one(spec), RingElem.zero(spec)])
+    l2 = FrobLift.standard(spec)
+    g1, g2 = l1.as_ring_map(), l2.as_ring_map()
+    engine = DividedCoeffs(g1, g2, width=2)
+    reference = ReferenceCoeffs(g1, g2, 2)
+    assert reference.x[0] == RingElem.const(reference.x[0].spec, 5)
+    with pytest.raises(NonIntegralError):
+        reference.coeff((1, 0), 2)
+    with pytest.raises(NonIntegralError):
+        engine.coeff((1, 0), 2)
+    assert ((1, 0), 2) not in engine._coeffs
+    assert engine.coeff((1, 0), 1) == reference.coeff((1, 0), 1) == RingElem.one(engine.base_spec)
+
+
+# -- the trusted constructor keeps results canonical ---------------------------
+
+
+@st.composite
+def spec_and_elems(draw):
+    p = draw(st.sampled_from([3, 5, 7]))
+    n = draw(st.integers(min_value=1, max_value=4))
+    d = draw(st.integers(min_value=0, max_value=2))
+    s = draw(st.integers(min_value=0, max_value=d))
+    spec = RingSpec(p, n, d, s)
+
+    def elem():
+        terms = {}
+        for _ in range(draw(st.integers(min_value=0, max_value=5))):
+            exps = tuple(draw(st.integers(min_value=0 if j < s else -3, max_value=3))
+                         for j in range(d))
+            # multiples of p and of q exercise the reduction and the dropped zeros
+            terms[exps] = draw(st.one_of(st.integers(-3 * spec.q, 3 * spec.q),
+                                         st.integers(-9, 9).map(lambda k: k * p)))
+        return RingElem(spec, terms)
+
+    pk = p ** draw(st.integers(min_value=0, max_value=n))
+    scalar = draw(st.one_of(st.integers(-10 ** 6, 10 ** 6),
+                            st.integers(-9, 9).map(lambda k: k * pk)))
+    return spec, elem(), elem(), scalar
+
+
+@given(spec_and_elems())
+@settings(max_examples=200, deadline=None)
+def test_operation_results_are_canonical(case):
+    spec, x, y, c = case
+    for result in (x + y, x - y, -x, x * y, x.scale(c), x * c):
+        assert result.spec == spec
+        assert result.terms == RingElem(spec, result.terms).terms
+        for exps, coeff in result.terms.items():
+            assert 1 <= coeff < spec.q
+            assert isinstance(exps, tuple) and len(exps) == spec.d
+            assert all(exps[j] >= 0 for j in range(spec.s))
+
+
+def test_public_constructor_still_validates():
+    spec = RingSpec(5, 2, 2, 1)
+    with pytest.raises(ValueError):
+        RingElem(spec, {(1,): 1})
+    with pytest.raises(ValueError):
+        RingElem(spec, {(-1, 0): 1})
+    assert RingElem(spec, {(0, -1): 50, (1, 0): -1}).terms == {(1, 0): 24}
+
+
+# -- primality of p ---------------------------------------------------------------
+
+
+class TestPrimality:
+    def test_large_prime_accepted_at_once(self):
+        import time
+        start = time.perf_counter()
+        spec = RingSpec(10 ** 15 + 37, 1, 1, 1)
+        assert time.perf_counter() - start < 0.5
+        assert spec.q == 10 ** 15 + 37
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_small_primes_accepted(self, p):
+        assert RingSpec(p, 2, 1, 1).p == p
+
+    @pytest.mark.parametrize("p", [9, 15, 21, 25, 561, 3215031751, 2 ** 61 + 1])
+    def test_composites_refused(self, p):
+        # 561 is a Carmichael number; 3215031751 is a strong pseudoprime to 2, 3, 5 and 7
+        with pytest.raises(ValueError, match="odd prime"):
+            RingSpec(p, 1, 1, 1)
+
+    def test_agrees_with_trial_division(self):
+        from logff.logring import _is_prime
+
+        def trial(m):
+            return m >= 2 and all(m % f for f in range(2, int(m ** 0.5) + 1))
+
+        assert [m for m in range(5000) if _is_prime(m)] == [m for m in range(5000) if trial(m)]
+
+    def test_beyond_the_bound_refused(self):
+        from logff.logring import _MR_LIMIT
+        with pytest.raises(ValueError, match=str(_MR_LIMIT)):
+            RingSpec(_MR_LIMIT + 2, 1, 1, 1)
+        with pytest.raises(ValueError, match=str(_MR_LIMIT)):
+            RingSpec(10 ** 30 + 57, 1, 1, 1)

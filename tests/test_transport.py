@@ -171,6 +171,22 @@ class TestGlueProperties:
             assert check_glue_horizontal(mod, l1, l2), name
 
 
+    def test_precomputed_glue_is_reused_and_checked(self):
+        rng = random.Random(65)
+        mod = rank3_chain(5, 2)
+        l1, l2, l3 = (random_lift(rng, mod.spec) for _ in range(3))
+        g = glue_map(mod, l1, l2)
+        assert check_glue_horizontal(mod, l1, l2, glue=g) is check_glue_horizontal(mod, l1, l2)
+        assert check_glue_cocycle(mod, l1, l2, l3, glue=g) is \
+            check_glue_cocycle(mod, l1, l2, l3) is True
+        with pytest.raises(ValueError):
+            check_glue_horizontal(mod, l2, l1, glue=g)
+        with pytest.raises(ValueError):
+            check_glue_cocycle(mod, l1, l3, l2, glue=g)
+        with pytest.raises(ValueError):
+            check_glue_linearity(mod, l1, l3, RingElem.one(mod.spec), glue=g)
+
+
 class TestNonLogAgreement:
     def test_zero_connection(self):
         mod = rank1_flat(5, 2, s=0)
