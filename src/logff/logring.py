@@ -14,7 +14,15 @@ at a raised working precision; each coefficient is then divided by the
 power of p in I! * p^e with a checked integer division (a nonzero remainder
 raises `exactnum.NonIntegralError`) and multiplied by the inverse of the
 unit part of I!, which `exactnum.reduce_mod` supplies.  So every division
-by p is an exact, checked operation.
+by p is an exact, checked operation.  Inside `DividedCoeffs` an exponent
+vector is packed into one integer in a balanced radix whose half-width is
+proven larger than any exponent an accepted index can produce, so a product
+of monomials is one integer addition; `RingElem` stays keyed by tuples.
+
+`taylor_residual` groups the Taylor sum by the monomials of r: since Psi is
+additive and delta^I acts diagonally on monomials,
+sum_I Psi(delta^I r) * x_I = sum_E Psi(T^E) * sum_I c_E falling(E, I) x_I,
+one product per term of r instead of one per index I.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import ceil, factorial, gcd
-from operator import add
+from operator import add, mul
 
 from .exactnum import NonIntegralError, factorial_valp, modinv, reduce_mod
 
@@ -122,6 +130,17 @@ def falling(x: int, m: int) -> int:
     for t in range(m):
         out *= x - t
     return out
+
+
+def falling_product(exps: tuple[int, ...], index: tuple[int, ...]) -> int:
+    """prod_j falling(E_j, i_j): the eigenvalue of the falling operator at I on T^E."""
+    f = 1
+    for e, i in zip(exps, index):
+        if i:
+            f *= falling(e, i)
+            if f == 0:
+                break
+    return f
 
 
 class RingElem:
@@ -299,12 +318,7 @@ class RingElem:
         """Scalar falling-factorial operator: T^E -> (prod_j falling(E_j, i_j)) T^E."""
         out: dict[tuple[int, ...], int] = {}
         for e, c in self.terms.items():
-            f = 1
-            for ej, ij in zip(e, index):
-                if ij:
-                    f *= falling(ej, ij)
-                    if f == 0:
-                        break
+            f = falling_product(e, index)
             if f:
                 out[e] = f * c
         return RingElem(self.spec, out)
@@ -464,7 +478,8 @@ class RingMap:
             raise SpecMismatchError("element not in the source ring")
         out = RingElem.zero(self.target)
         for exps, c in r.terms.items():
-            term = RingElem.const(self.target, c)
+            # c is already canonical: source and target share p^n
+            term = RingElem._trusted(self.target, {(0,) * self.target.d: c})
             for j0, e in enumerate(exps):
                 if e:
                     term = term * self._image_pow(j0, e)
@@ -668,6 +683,18 @@ class DividedCoeffs:
     composition must be composed at the working precision already, since a
     base-precision composite underdetermines the digits the divisions
     consume; `work_precision` names the precision to compose at.
+
+    Inside the engine an exponent vector E is one integer, the balanced
+    radix-B number P(E) = sum_j E_j * B^j with B = 2h + 1 and digits in
+    [-h, h] (Laurent slots carry negative exponents).  P is linear, so the
+    exponent of a product is the sum of the keys.  The half-width h comes from
+    a proof, not a setting: `coeff` refuses I once v_p(I!) > work_n - n, and
+    v_p(i!) >= floor(i/p), so every index it accepts has |I| < cap =
+    d * p * (work_n - n + 1); x^I then has exponents of absolute value at most
+    M * |I|, M the largest |exponent| in any x_j, and h = M * cap + 1 leaves no
+    carry between digits.  `_power` refuses |I| > cap, so no key it builds can
+    collide with another.  `coeff` decodes every output term back into the
+    tuple keys of RingElem, which never sees a packed key.
     """
 
     def __init__(self, g1: RingMap, g2: RingMap, width: int,
@@ -691,7 +718,7 @@ class DividedCoeffs:
         # p^k -> k for k < work_n: the valuation of a residue c in [1, p^work_n)
         # is read off gcd(c, p^work_n)
         self._valuation_of = {p ** k: k for k in range(self.work_n)}
-        self._x: list[dict] = []
+        xs = []
         for j in range(g1.source.d):
             if mode == "ratio":
                 c1, e1, h1 = g1w.images[j]
@@ -706,16 +733,34 @@ class DividedCoeffs:
                 xj = g1w.image_elem(j + 1) - g2w.image_elem(j + 1)
             if not xj.divisible_by_p():
                 raise LiftMismatchError(f"maps do not agree mod p on slot {j + 1}")
-            self._x.append(self._graded(xj.terms))
-        self._powers: dict[tuple[int, ...], dict] = {
-            (0,) * g1.source.d: self._graded(one.terms)}
+            xs.append(xj)
+        d = g1.source.d
+        self._cap = d * p * (self.work_n - n + 1)
+        top = max((abs(e) for xj in xs for exps in xj.terms for e in exps), default=0)
+        self._half = top * self._cap + 1
+        self._base = 2 * self._half + 1
+        self._radix = [self._base ** j for j in range(d)]
+        self._x = [self._graded({self._pack(e): c for e, c in xj.terms.items()}) for xj in xs]
+        self._powers: dict[tuple[int, ...], dict] = {(0,) * d: self._graded({0: 1})}
         self._coeffs: dict[tuple[tuple[int, ...], int], RingElem] = {}
 
-    def _graded(self, terms: dict[tuple[int, ...], int]) -> dict:
+    def _pack(self, exps: tuple[int, ...]) -> int:
+        return sum(map(mul, exps, self._radix))
+
+    def _unpack(self, key: int) -> tuple[int, ...]:
+        base, half = self._base, self._half
+        digits = []
+        for _ in self._radix:
+            digit = (key + half) % base - half
+            digits.append(digit)
+            key = (key - digit) // base
+        return tuple(digits)
+
+    def _graded(self, terms: dict[int, int]) -> dict:
         """Residues mod p^work_n grouped by exact p-adic valuation.
 
-        Maps v to a pair of parallel lists (exponent vectors, coefficients);
-        zero residues are dropped.
+        Maps v to a pair of parallel lists (packed exponent keys,
+        coefficients); zero residues are dropped.
         """
         q = self._work_q
         valuation_of = self._valuation_of
@@ -737,27 +782,33 @@ class DividedCoeffs:
         Every x_j is divisible by p, so most coefficient pairs of a product
         x^{I - e_j} * x_j have valuation v1 + v2 >= work_n and vanish; the
         grading skips such a bucket pair without touching its terms, and the
-        raw products are reduced mod p^work_n once per output term.  This
-        loop is private to DividedCoeffs on purpose: for the small one-shot
-        products of RingElem.__mul__ the grading costs more than it saves.
+        raw products are reduced mod p^work_n once per output term.  The
+        grading and the packed keys are private to DividedCoeffs for the same
+        reason: they pay off over the long chains of products along the index
+        trie, and for the small one-shot products of RingElem.__mul__ they
+        would cost more than they save.
         """
         got = self._powers.get(index)
         if got is not None:
             return got
+        if sum(index) > self._cap:
+            raise WorkingPrecisionError(
+                f"x^{index} is beyond |I| <= {self._cap}, the largest index the "
+                f"packed exponent keys hold")
         j0 = next(i for i, v in enumerate(index) if v)
         parent = list(index)
         parent[j0] -= 1
         left = self._power(tuple(parent))
         right = self._x[j0]
         work_n = self.work_n
-        acc: defaultdict[tuple[int, ...], int] = defaultdict(int)
-        for v1, (exps1, coeffs1) in left.items():
-            for v2, (exps2, coeffs2) in right.items():
+        acc: defaultdict[int, int] = defaultdict(int)
+        for v1, (keys1, coeffs1) in left.items():
+            for v2, (keys2, coeffs2) in right.items():
                 if v1 + v2 >= work_n:
                     continue
-                for e1, c1 in zip(exps1, coeffs1):
-                    for e2, c2 in zip(exps2, coeffs2):
-                        acc[tuple(map(add, e1, e2))] += c1 * c2
+                for k1, c1 in zip(keys1, coeffs1):
+                    for k2, c2 in zip(keys2, coeffs2):
+                        acc[k1 + k2] += c1 * c2
         out = self._graded(acc)
         self._powers[index] = out
         return out
@@ -781,19 +832,20 @@ class DividedCoeffs:
         # I! * p^e = p^v * unit; invert the unit once for the whole coefficient
         unit_inv = reduce_mod(Fraction(pv, multi_factorial(index) * p ** p_exponent), p, n)
         q = self.base_spec.q
+        unpack = self._unpack
         out = {}
-        for w, (exps, coeffs) in self._power(index).items():
+        for w, (keys, coeffs) in self._power(index).items():
             if w >= v + n:
                 continue   # divisible by p^(v+n): the quotient vanishes mod p^n
-            for e, c in zip(exps, coeffs):
+            for k, c in zip(keys, coeffs):
                 quotient, remainder = divmod(c, pv)
                 if remainder:
                     raise NonIntegralError(
-                        f"coefficient of T^{e} in x^{index} is not divisible by "
+                        f"coefficient of T^{unpack(k)} in x^{index} is not divisible by "
                         f"{index}! * {p}^{p_exponent}")
                 r = quotient * unit_inv % q
                 if r:
-                    out[e] = r
+                    out[unpack(k)] = r
         result = RingElem._trusted(self.base_spec, out)
         self._coeffs[key] = result
         return result
@@ -805,16 +857,43 @@ def taylor_residual(r: RingElem, lift1: FrobLift, lift2: FrobLift) -> RingElem:
     The sum runs over all shells |I| < stop_shell(p, n, 0); the remaining
     shells provably vanish mod p^n, so the residual is exactly the defect of
     the logarithmic Taylor formula.  The contract is that it is 0 for every r.
+
+    Psi is additive and delta^I acts diagonally on monomials, so with
+    r = sum_E c_E T^E and x_I the divided coefficient of I the sum regroups
+    by monomial: sum_E Psi(T^E) * S_E with S_E = sum_I c_E falling(E, I) x_I.
+    Each S_E is accumulated as raw integer sums and reduced once, which makes
+    one product per term of r instead of one per index.  x_I is requested
+    exactly for the indices where delta^I(r) is nonzero mod p^n, in shell
+    order, so the checked divisions (and any error they raise) are those of
+    the per-index sum.
     """
     spec = r.spec
     if lift1.spec != spec or lift2.spec != spec:
         raise SpecMismatchError("lifts must live over the element's spec")
     coeffs = DividedCoeffs(lift1.as_ring_map(), lift2.as_ring_map(), width=0)
-    acc = apply_frobenius(r, lift1)
+    acc = lift1.apply(r)
+    q = spec.q
+    terms = list(r.terms.items())
+    sums: list[defaultdict[tuple[int, ...], int]] = [defaultdict(int) for _ in terms]
     for c in range(coeffs.stop):
         for index in multi_indices(spec.d, c):
-            part = falling_op(r, index)
-            if part.is_zero():
-                continue
-            acc = acc - apply_frobenius(part, lift2) * coeffs.coeff(index, 0)
+            weights = []
+            for (E, cE), s in zip(terms, sums):
+                w = cE * falling_product(E, index) % q
+                if w:
+                    weights.append((s, w))
+            if not weights:
+                continue   # delta^I(r) = 0 mod p^n
+            for e, x in coeffs.coeff(index, 0).terms.items():
+                for s, w in weights:
+                    s[e] += w * x
+    for (E, _), s in zip(terms, sums):
+        reduced = {}
+        for e, x in s.items():
+            x %= q
+            if x:
+                reduced[e] = x
+        if reduced:
+            monomial = lift2.apply(RingElem._trusted(spec, {E: 1}))
+            acc = acc - monomial * RingElem._trusted(spec, reduced)
     return acc

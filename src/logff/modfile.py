@@ -50,10 +50,40 @@ def _spec_to_dict(spec: RingSpec) -> dict:
     return {"p": spec.p, "n": spec.n, "d": spec.d, "s": spec.s}
 
 
-def _matrix_from_lists(rows, spec: RingSpec, what: str) -> Matrix:
+_JSON_TYPES = ((bool, "boolean"), (int, "integer"), (float, "number"), (str, "string"),
+               (list, "array"), (dict, "object"), (type(None), "null"))
+
+
+def _shape_error(path: str, expected: str, value) -> InvariantViolationError:
+    got = next((name for kind, name in _JSON_TYPES if isinstance(value, kind)),
+               type(value).__name__)
+    return InvariantViolationError(path, f"expected {expected}, got {got}")
+
+
+def _sized(value) -> bool:
+    """A JSON value with a length: an array, an object or a string."""
+    return isinstance(value, (list, dict, str))
+
+
+def _expr(entry, spec: RingSpec, path: str):
+    # A non-empty object is passed on to parse_expr, which refuses it with a
+    # KeyError (exit 2); refusing it here would change the message of a
+    # document that is refused either way.
+    if isinstance(entry, str) or (isinstance(entry, dict) and entry):
+        return parse_expr(entry, spec)
+    raise _shape_error(path, "an expression string", entry)
+
+
+def _matrix_from_lists(rows, spec: RingSpec, what: str, path: str) -> Matrix:
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise InvariantViolationError(what, "matrix must be a list of rows")
-    return Matrix(spec, [[parse_expr(entry, spec) for entry in row] for row in rows])
+    entries = [[_expr(entry, spec, f"{path}[{i}][{j}]") for j, entry in enumerate(row)]
+               for i, row in enumerate(rows)]
+    for i, row in enumerate(rows):
+        if len(row) != len(rows[0]):
+            raise InvariantViolationError(
+                f"{path}[{i}]", f"row has {len(row)} entries, row 0 has {len(rows[0])}")
+    return Matrix(spec, entries)
 
 
 def _matrix_to_lists(mat: Matrix) -> list[list[str]]:
@@ -72,20 +102,47 @@ def module_from_dict(doc: dict, wide_range: bool = False
         frob_doc = doc["frobenius"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InvariantViolationError("document_shape", str(exc)) from None
+    # Each type check sits where its value is first used and refuses only
+    # what the code after it cannot read, so the first fault found in a
+    # document, and with it the message, does not depend on these checks.
+    if not isinstance(lift_docs, dict):
+        raise _shape_error("lifts", "an object of unit-part arrays", lift_docs)
+    unit_parts = f"an array of {spec.d} expression strings"
     lifts = {}
     for name, uvec in lift_docs.items():
+        if not _sized(uvec):
+            raise _shape_error(f"lifts.{name}", unit_parts, uvec)
         if len(uvec) != spec.d:
             raise InvariantViolationError("lift", f"{name}: need {spec.d} unit parts")
-        lifts[name] = FrobLift(spec, [parse_expr(e, spec) for e in uvec])
+        lifts[name] = FrobLift(spec, [_expr(e, spec, f"lifts.{name}[{j}]")
+                                      for j, e in enumerate(uvec)])
+    if not _sized(conn_docs):
+        raise _shape_error("connection", f"an array of {spec.d} matrices", conn_docs)
     if len(conn_docs) != spec.d:
         raise InvariantViolationError("connection_shape", f"need {spec.d} matrices")
-    connection = [_matrix_from_lists(m, spec, "connection") for m in conn_docs]
+    connection = [_matrix_from_lists(m, spec, "connection", f"connection[{k}]")
+                  for k, m in enumerate(conn_docs)]
+    if not isinstance(frob_doc, dict):
+        raise _shape_error("frobenius", "an object with a lift name and a matrix", frob_doc)
     frob_name = frob_doc.get("lift")
+    if isinstance(frob_name, (list, dict)):
+        raise _shape_error("frobenius.lift", "a lift name", frob_name)
     if frob_name not in lifts:
         raise InvariantViolationError("frobenius", f"unknown lift {frob_name!r}")
-    frobenius = _matrix_from_lists(frob_doc["matrix"], spec, "frobenius")
+    frobenius = _matrix_from_lists(frob_doc["matrix"], spec, "frobenius", "frobenius.matrix")
     module = LogFFModule(spec, (a, b), basis, connection, lifts[frob_name], frobenius,
                          wide_range=wide_range)
+    # The reads above accept a string as a sequence here; refusing it last
+    # keeps the order in which the checks above find faults.
+    hodge_range = doc["hodge_range"]
+    if not isinstance(hodge_range, list):
+        raise _shape_error("hodge_range", "an array of two integers", hodge_range)
+    for i, v in enumerate(hodge_range):
+        if type(v) is not int:
+            raise _shape_error(f"hodge_range[{i}]", "an integer", v)
+    for name, uvec in lift_docs.items():
+        if not isinstance(uvec, list):
+            raise _shape_error(f"lifts.{name}", unit_parts, uvec)
     return module, lifts
 
 

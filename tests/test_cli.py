@@ -63,6 +63,30 @@ class TestCheck:
         assert code == 2
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("edit,where", [
+        (lambda d: d["connection"][0][0].__setitem__(1, 1), "connection[0][0][1]"),
+        (lambda d: d.__setitem__("lifts", [["0"]]), "lifts"),
+        (lambda d: d["lifts"].__setitem__("Phi", [0]), "lifts.Phi[0]"),
+        (lambda d: d["lifts"].__setitem__("Phi", 0), "lifts.Phi"),
+        (lambda d: d.__setitem__("frobenius", [["1", "0"], ["0", "1"]]), "frobenius"),
+        (lambda d: d["connection"][0].__setitem__(1, ["0"]), "connection[0][1]"),
+        (lambda d: d.__setitem__("hodge_range", "01"), "hodge_range"),
+    ], ids=["connection_entry_int", "lifts_as_list", "lift_entry_int", "lift_value_int",
+            "frobenius_as_list", "ragged_matrix", "hodge_range_string"])
+    def test_malformed_shape_exit_2(self, capsys, tmp_path, edit, where):
+        from logff.fixtures import nil2
+        from logff.modfile import module_to_dict
+
+        module = nil2(5, 2)
+        doc = module_to_dict(module, {"Phi": module.lift}, "Phi")
+        edit(doc)
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "check", str(path), "--format", "json")
+        assert code == 2 and not out
+        assert err.startswith(f"error: {where}: expected") or err.startswith(f"error: {where}: row")
+        assert "Traceback" not in err
+
     def test_json_report_deterministic(self, fixture_dir, capsys):
         path = str(fixture_dir / "nil2_p5n1.json")
         _, out1, _ = run(capsys, "check", path, "--format", "json")

@@ -1,4 +1,6 @@
+import itertools
 import random
+import re
 
 import pytest
 
@@ -489,6 +491,171 @@ def test_divided_coeffs_non_integral_on_both_paths():
     assert engine.coeff((1, 0), 1) == reference.coeff((1, 0), 1) == RingElem.one(engine.base_spec)
 
 
+@pytest.mark.parametrize("p,n,d,s", [(5, 2, 2, 0), (5, 3, 2, 1), (3, 3, 2, 1),
+                                     (5, 2, 3, 1), (3, 2, 3, 0)])
+def test_divided_coeffs_match_reference_on_laurent_charts(p, n, d, s):
+    # Laurent slots give the x_j negative exponents: the packed keys carry
+    # negative digits through every product
+    spec = RingSpec(p, n, d, s)
+    rng = random.Random(f"coeff-laurent:{p},{n},{d},{s}")
+    l1, l2 = random_lift(rng, spec), random_lift(rng, spec)
+    reference = ReferenceCoeffs(l1.as_ring_map(), l2.as_ring_map(), 1)
+    assert any(e < 0 for x in reference.x for exps in x.terms for e in exps)
+    _assert_engines_agree(l1.as_ring_map(), l2.as_ring_map(), 1, every_exponent=True)
+    if s == 0:
+        _assert_engines_agree(l1.as_ring_map(), l2.as_ring_map(), 1, mode="difference")
+
+
+def _largest_accepted_index(engine, d):
+    """An index of largest |I| with n + v_p(I!) <= work_n, found by search."""
+    budget = engine.work_n - engine.n
+    best = (0,) * d
+    for index in itertools.product(range(engine.p * (budget + 1)), repeat=d):
+        if sum(factorial_valp(i, engine.p) for i in index) <= budget and sum(index) > sum(best):
+            best = index
+    return best
+
+
+@pytest.mark.parametrize("p,n,d", [(5, 8, 2), (7, 6, 2), (3, 8, 2)])
+def test_packed_kernel_at_the_largest_accepted_index(p, n, d):
+    spec = RingSpec(p, n, d, d)
+    rng = random.Random(f"coeff-largest:{p},{n},{d}")
+    g1, g2 = (random_lift(rng, spec).as_ring_map() for _ in range(2))
+    engine = DividedCoeffs(g1, g2, width=0)
+    reference = ReferenceCoeffs(g1, g2, 0)
+    index = _largest_accepted_index(engine, d)
+    assert sum(index) < engine._cap
+    assert engine.coeff(index, 0) == reference.coeff(index, 0)
+    for j in range(d):
+        beyond = index[:j] + (index[j] + 1,) + index[j + 1:]
+        with pytest.raises(WorkingPrecisionError):
+            engine.coeff(beyond, 0)
+
+
+@pytest.mark.parametrize("p,n,d", [(5, 8, 2), (7, 6, 2), (3, 8, 2)])
+def test_power_refuses_indices_beyond_the_cap(p, n, d):
+    spec = RingSpec(p, n, d, d)
+    rng = random.Random(f"coeff-cap:{p},{n},{d}")
+    engine = DividedCoeffs(*(random_lift(rng, spec).as_ring_map() for _ in range(2)), width=0)
+    cap = engine._cap
+    assert cap == d * p * (engine.work_n - n + 1)
+    engine._power((cap,) + (0,) * (d - 1))
+    for index in [(cap + 1,) + (0,) * (d - 1), (cap,) + (1,) + (0,) * (d - 2)]:
+        with pytest.raises(WorkingPrecisionError):
+            engine._power(index)
+        assert index not in engine._powers
+
+
+def _round_trip(engine, digits, d):
+    keys = {}
+    for exps in itertools.product(digits, repeat=d):
+        key = engine._pack(exps)
+        assert engine._unpack(key) == exps
+        assert keys.setdefault(key, exps) == exps   # no two vectors share a key
+    return keys
+
+
+@pytest.mark.parametrize("p,n,d,s", [(5, 8, 2, 2), (7, 6, 2, 2), (3, 8, 2, 2), (5, 2, 3, 1)])
+def test_pack_round_trip_at_the_extreme_digits(p, n, d, s):
+    spec = RingSpec(p, n, d, s)
+    rng = random.Random(f"coeff-pack:{p},{n},{d},{s}")
+    engine = DividedCoeffs(*(random_lift(rng, spec).as_ring_map() for _ in range(2)), width=0)
+    h = engine._half
+    top = max(abs(e) for x in engine._x for keys, _ in x.values()
+              for key in keys for e in engine._unpack(key))
+    assert h > top * engine._cap
+    keys = _round_trip(engine, (-h, -h + 1, -1, 0, 1, h - 1, h), d)
+    # linear: the key of a sum is the sum of the keys
+    for a, b in itertools.product(list(keys)[::7], repeat=2):
+        total = tuple(x + y for x, y in zip(keys[a], keys[b]))
+        if all(abs(t) <= h for t in total):
+            assert engine._pack(total) == a + b
+
+
+def test_pack_round_trip_exhaustive_at_half_width_one():
+    # constant lifts give exponent-free x_j, so h = 1 and the digit box is tiny
+    spec = RingSpec(5, 2, 3, 1)
+    l1 = FrobLift(spec, [RingElem.const(spec, 3)] * 3)
+    engine = DividedCoeffs(l1.as_ring_map(), FrobLift.standard(spec).as_ring_map(), width=0)
+    assert engine._half == 1
+    assert len(_round_trip(engine, (-1, 0, 1), 3)) == 27
+
+
+# -- the Taylor sum grouped by monomial against the per-index sum --------------
+
+
+def _per_index_residual(r, lift1, lift2):
+    """taylor_residual with one product Psi(delta^I r) * x_I per index I."""
+    spec = r.spec
+    coeffs = DividedCoeffs(lift1.as_ring_map(), lift2.as_ring_map(), width=0)
+    acc = apply_frobenius(r, lift1)
+    for c in range(coeffs.stop):
+        for index in multi_indices(spec.d, c):
+            part = falling_op(r, index)
+            if part.is_zero():
+                continue
+            acc = acc - apply_frobenius(part, lift2) * coeffs.coeff(index, 0)
+    return acc
+
+
+_REAL_COEFF = DividedCoeffs.coeff
+
+
+def _coeff_stream(log, bumped=None, bump=None, refused=None):
+    """A stand-in for DividedCoeffs.coeff that logs every request, adds bump
+    to the coefficient of index bumped and raises NonIntegralError at refused."""
+
+    def coeff(self, index, p_exponent):
+        log.append((index, p_exponent))
+        if index == refused:
+            raise NonIntegralError(f"refused {index}")
+        out = _REAL_COEFF(self, index, p_exponent)
+        return out + bump if index == bumped else out
+
+    return coeff
+
+
+@pytest.mark.parametrize("p,n,d,s", [(5, 8, 2, 2), (7, 6, 2, 2), (3, 8, 2, 2), (5, 3, 2, 1)])
+def test_grouped_taylor_sum_matches_per_index_sum(p, n, d, s, monkeypatch):
+    # the sum is linear in the coefficient stream, so a stream perturbed at one
+    # index must leave the same nonzero residual on both paths
+    spec = RingSpec(p, n, d, s)
+    rng = random.Random(f"taylor-grouped:{p},{n},{d},{s}")
+    for _ in range(3):
+        r = random_elem(rng, spec)
+        l1, l2 = random_lift(rng, spec), random_lift(rng, spec)
+        requested = []
+        monkeypatch.setattr(DividedCoeffs, "coeff", _coeff_stream(requested))
+        assert taylor_residual(r, l1, l2).is_zero()
+        bumped = requested[len(requested) // 2][0]
+        bump = RingElem(spec, {(1,) * d: 1, (0,) * d: rng.randrange(1, spec.q)})
+        residuals, logs = [], []
+        for path in (taylor_residual, _per_index_residual):
+            logs.append([])
+            monkeypatch.setattr(DividedCoeffs, "coeff", _coeff_stream(logs[-1], bumped, bump))
+            residuals.append(path(r, l1, l2))
+        assert not residuals[0].is_zero()
+        assert residuals[0] == residuals[1]
+        assert logs[0] == logs[1] == requested
+
+
+def test_grouped_taylor_sum_raises_where_the_per_index_sum_raises(monkeypatch):
+    spec = RingSpec(5, 3, 2, 1)
+    rng = random.Random("taylor-grouped-raise")
+    r = random_elem(rng, spec)
+    l1, l2 = random_lift(rng, spec), random_lift(rng, spec)
+    requested = []
+    monkeypatch.setattr(DividedCoeffs, "coeff", _coeff_stream(requested))
+    taylor_residual(r, l1, l2)
+    refused = requested[-1][0]
+    for path in (taylor_residual, _per_index_residual):
+        log = []
+        monkeypatch.setattr(DividedCoeffs, "coeff", _coeff_stream(log, refused=refused))
+        with pytest.raises(NonIntegralError, match=re.escape(str(refused))):
+            path(r, l1, l2)
+        assert log == requested
+
+
 # -- the trusted constructor keeps results canonical ---------------------------
 
 
@@ -520,7 +687,8 @@ def spec_and_elems(draw):
 @settings(max_examples=200, deadline=None)
 def test_operation_results_are_canonical(case):
     spec, x, y, c = case
-    for result in (x + y, x - y, -x, x * y, x.scale(c), x * c):
+    f = FrobLift(spec, [y] * spec.d).as_ring_map()
+    for result in (x + y, x - y, -x, x * y, x.scale(c), x * c, f.apply(x)):
         assert result.spec == spec
         assert result.terms == RingElem(spec, result.terms).terms
         for exps, coeff in result.terms.items():

@@ -103,3 +103,24 @@ def test_disk_corpus_round_trips(fixture_dir):
         module2, lifts2 = parse_module_file(out, wide_range=wide)
         assert module2 == module, path.name
         assert lifts2 == lifts, path.name
+
+
+@pytest.mark.parametrize("edit,message", [
+    # a value of the wrong JSON type that an earlier check refused keeps that check's message
+    (lambda d: d["lifts"].__setitem__("Phi", "01"), "lift: Phi: need 1 unit parts"),
+    (lambda d: d.__setitem__("connection", "01"), "connection_shape: need 1 matrices"),
+    (lambda d: d.__setitem__("connection", [["0"]]), "connection: matrix must be a list of rows"),
+    (lambda d: d.__setitem__("hodge_range", "0"),
+     "document_shape: not enough values to unpack (expected 2, got 1)"),
+    (lambda d: d["frobenius"].__setitem__("lift", 0), "frobenius: unknown lift 0"),
+    # several faults: the one the older checks find first is reported
+    (lambda d: (d.__setitem__("hodge_range", "01"), d["connection"].append([])),
+     "connection_shape: need 1 matrices"),
+])
+def test_earlier_refusals_keep_their_message(edit, message):
+    module = nil2(5, 2)
+    doc = module_to_dict(module, {"Phi": module.lift}, "Phi")
+    edit(doc)
+    with pytest.raises(InvariantViolationError) as info:
+        parse_module_file(json.dumps(doc))
+    assert str(info.value) == message
