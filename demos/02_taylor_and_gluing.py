@@ -21,9 +21,9 @@ from logff import (
     glue_map,
     run_all_checks,
     taylor_residual,
-    transport,
 )
 from logff.fixtures import nil2, random_elem, random_lift
+from logff.transport import transport
 
 print("Scalar level: the logarithmic Taylor formula")
 print("--------------------------------------------")

@@ -20,14 +20,8 @@ from .logring import (
     RingMap,
     RingSpec,
     SpecMismatchError,
-    apply_frobenius,
-    apply_ring_map,
     design_shell_bound,
-    falling_op,
-    localize,
-    log_derive,
     multi_indices,
-    ring_mul,
     stop_shell,
     taylor_residual,
     work_precision,
@@ -50,9 +44,7 @@ from .ffmodule import (
     InvariantViolationError,
     LogFFModule,
     MorphismData,
-    TildeModule,
     apply_connection,
-    build_tilde,
     check_flat,
     check_griffiths,
     check_horizontal,
@@ -65,6 +57,7 @@ from .ffmodule import (
     root_pullback,
     run_all_checks,
     solve_frobenius,
+    tilde_embed,
 )
 from .transport import (
     GlueMap,
@@ -77,7 +70,6 @@ from .transport import (
     glue_map,
     modules_equal,
     pullback_ff,
-    transport,
 )
 from .modfile import (
     map_from_dict,

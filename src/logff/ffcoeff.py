@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial
 
 Poly = tuple[Fraction, ...]  # ascending coefficients, no trailing zeros
 
@@ -120,14 +120,6 @@ def structure_constants(m: int, n: int) -> CoeffTable:
         assert max(m, n) <= k <= m + n
         table[k] = int(c)
     return CoeffTable(m, n, table)
-
-
-def closed_form_constant(m: int, n: int, k: int) -> int:
-    """Cross-check value a_{mn}^{m+n-j} = C(m,j) C(n,j) j! with j = m+n-k."""
-    j = m + n - k
-    if j < 0 or j > min(m, n):
-        return 0
-    return comb(m, j) * comb(n, j) * factorial(j)
 
 
 def multi_structure_constants(I: tuple[int, ...], J: tuple[int, ...]) -> dict[tuple[int, ...], int]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .exactnum import NonIntegralError
+from .exactnum import NonIntegralError, int_valp
 from .logring import FrobLift, RingElem, RingMap, RingSpec, SpecMismatchError
 from .matrices import Matrix
 
@@ -74,14 +74,14 @@ class GlueCache:
 
     Each entry depends only on the module, or on the module and one pair of
     maps, so no result depends on the order of calls.  The size is bounded:
-    one operator memo per (operator, basis index), each holding at most one
+    one operator memo per (mode, basis index), each holding at most one
     vector per index below stop_shell; the last DividedCoeffs with its key;
     and whether the module passed the flatness and Griffiths gate (a failure
     is never remembered, so a failing module raises on every call).
     """
 
     def __init__(self):
-        self.operator_memos: dict = {}     # (operator, k) -> {index: vector}
+        self.operator_memos: dict = {}     # (mode, k) -> {index: vector}
         # ((g1, g2, mode), DividedCoeffs) as one tuple, so that a sweep running
         # concurrently on this module never pairs a key with another engine
         self.coeffs = None
@@ -181,14 +181,6 @@ def apply_connection(connection: list[Matrix], vec: list[RingElem], j: int) -> l
     return [x + v.log_derive(j) for x, v in zip(out, vec)]
 
 
-def _trie_parent(index: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
-    """(j0, I - e_j0) for the last nonzero slot j0 of I; None for I = 0."""
-    for j0 in range(len(index) - 1, -1, -1):
-        if index[j0]:
-            return j0, index[:j0] + (index[j0] - 1,) + index[j0 + 1:]
-    return None
-
-
 def falling_connection_op(connection: list[Matrix], vec: list[RingElem],
                           index: tuple[int, ...], *,
                           memo: dict | None = None) -> list[RingElem]:
@@ -198,36 +190,64 @@ def falling_connection_op(connection: list[Matrix], vec: list[RingElem],
     this operator is meaningful.
 
     memo, if given, maps indices to results for this connection and this
-    start vector, and is filled with the result and any missing ancestors.
-    The result for I is then one factor nabla(delta_j) - (i_j - 1) applied
-    to the result for I - e_j, where j is the last nonzero slot of I: the
-    same factors in the same order as without a memo, so the two agree term
-    for term.  A zero parent gives its (shared) zero vector.  Memoized
-    vectors are shared between calls and must not be mutated.
+    start vector, and is filled with the result and any missing ancestors
+    (see _trie_walk): the same factors in the same order as without a memo,
+    so the two agree term for term.  Memoized vectors are shared between
+    calls and must not be mutated.
     """
     if memo is None:
         out = list(vec)
         for j0, ij in enumerate(index):
             for k in range(ij):
-                nabla = apply_connection(connection, out, j0 + 1)
-                out = [x - v.scale(k) for x, v in zip(nabla, out)]
+                out = _falling_factor(connection, out, j0, k)
         return out
+    return _trie_walk(_falling_factor, connection, vec, index, memo)
+
+
+def _falling_factor(connection: list[Matrix], vec: list[RingElem], j0: int, k: int):
+    """nabla(delta_j) - k on a vector, j = j0 + 1."""
+    nabla = apply_connection(connection, vec, j0 + 1)
+    return [x - v.scale(k) for x, v in zip(nabla, vec)]
+
+
+def _ordinary_connection_op(connection: list[Matrix], vec: list[RingElem],
+                            index: tuple[int, ...], *, memo: dict) -> list[RingElem]:
+    """Iterated nabla(d/dT_j) = entrywise d/dT_j plus A_j T_j^{-1}, slot by slot.
+
+    The operator of the classical (non-logarithmic) comparison formula, so
+    every slot must be Laurent.  memo is filled as in falling_connection_op.
+    """
+    return _trie_walk(_ordinary_factor, connection, vec, index, memo)
+
+
+def _ordinary_factor(connection: list[Matrix], vec: list[RingElem], j0: int, k: int):
+    """nabla(d/dT_j) on a vector, j = j0 + 1; k is unused."""
+    tinv = RingElem.variable(connection[j0].spec, j0 + 1, -1)
+    applied = connection[j0].scale(tinv).mul_vec(vec)
+    return [x + v.d_dT(j0 + 1) for x, v in zip(applied, vec)]
+
+
+def _trie_walk(factor, connection: list[Matrix], vec: list[RingElem],
+               index: tuple[int, ...], memo: dict) -> list[RingElem]:
+    """An iterated operator on vec along the index trie, memoized in memo.
+
+    The result for I is factor(connection, w, j0, i_j0 - 1), where j0 is
+    the last nonzero slot of I and w is the result for I - e_j0; the result
+    for I = 0 is vec itself.  A zero parent gives its (shared) zero vector.
+    """
     got = memo.get(index)
     if got is not None:
         return got
-    step = _trie_parent(index)
-    if step is None:
+    j0 = next((j for j in range(len(index) - 1, -1, -1) if index[j]), None)
+    if j0 is None:
         out = list(vec)
     else:
-        j0, parent = step
-        prev = memo.get(parent)
-        if prev is None:
-            prev = falling_connection_op(connection, vec, parent, memo=memo)
+        parent = index[:j0] + (index[j0] - 1,) + index[j0 + 1:]
+        prev = _trie_walk(factor, connection, vec, parent, memo)
         if all(v.is_zero() for v in prev):
             out = prev
         else:
-            nabla = apply_connection(connection, prev, j0 + 1)
-            out = [x - v.scale(index[j0] - 1) for x, v in zip(nabla, prev)]
+            out = factor(connection, prev, j0, index[j0] - 1)
     memo[index] = out
     return out
 
@@ -264,40 +284,25 @@ def check_griffiths(module: LogFFModule) -> CheckResult:
     return CheckResult("griffiths", not failures, failures)
 
 
-class TildeModule:
-    """The quotient (+)_i Fil^i / (p x ~ x) in basis-adapted coordinates.
+def tilde_embed(module: LogFFModule, vec: list[RingElem], i: int) -> list[RingElem]:
+    """[vec]_i in the coordinates of the tilde module (+)_i Fil^i / (p x ~ x).
 
-    The class of e_k at level i <= level(e_k) is p^(level_k - i) * etilde_k,
-    and the convention [x]_i = p^(a-i) [x]_a extends this below level a with
-    the same exponent formula.
+    vec must lie in Fil^i.  The class of e_k at level i <= level(e_k) is
+    p^(level_k - i) * etilde_k, and the convention [x]_i = p^(a-i) [x]_a
+    extends this below level a with the same exponent formula.
     """
-
-    def __init__(self, module: LogFFModule):
-        self.module = module
-
-    def embed(self, vec: list[RingElem], i: int) -> list[RingElem]:
-        """[vec]_i in tilde coordinates; vec must lie in Fil^i."""
-        mod = self.module
-        p = mod.spec.p
-        out = []
-        for k, v in enumerate(mod.basis):
-            c = _reduce_entry(vec[k], v.torsion)
-            if v.level < i:
-                if not c.is_zero():
-                    raise ElementNotInFilError(
-                        f"component on {v.name} (level {v.level}) at filtration level {i}")
-                out.append(RingElem.zero(mod.spec))
-            else:
-                out.append(c.scale(p ** (v.level - i)))
-        return out
-
-    @property
-    def torsions(self) -> list[int]:
-        return self.module.torsions
-
-
-def build_tilde(module: LogFFModule) -> TildeModule:
-    return TildeModule(module)
+    p = module.spec.p
+    out = []
+    for k, v in enumerate(module.basis):
+        c = _reduce_entry(vec[k], v.torsion)
+        if v.level < i:
+            if not c.is_zero():
+                raise ElementNotInFilError(
+                    f"component on {v.name} (level {v.level}) at filtration level {i}")
+            out.append(RingElem.zero(module.spec))
+        else:
+            out.append(c.scale(p ** (v.level - i)))
+    return out
 
 
 def divided_connection(module: LogFFModule, lift: FrobLift | None = None) -> list[Matrix]:
@@ -350,17 +355,24 @@ def check_horizontal(module: LogFFModule) -> CheckResult:
     if not g.ok:
         return CheckResult("horizontal", False, skipped=True,
                            reason="requires Griffiths transversality")
-    divided = divided_connection(module)
-    F = module.frobenius
-    mods = module.torsions
+    failures = _horizontal_failures(module.frobenius, module.connection,
+                                    divided_connection(module), module.torsions)
+    return CheckResult("horizontal", not failures, failures)
+
+
+def _horizontal_failures(H: Matrix, A: list[Matrix], B: list[Matrix],
+                         row_mods: list[int]) -> list[dict]:
+    """Slots j where delta_j(H) + A_j H != H B_j, row i compared mod p^row_mods[i].
+
+    H is horizontal from the connection B to the connection A when the list
+    is empty; each failure names its slot and its first differing entry.
+    """
     failures = []
-    for j in range(module.spec.d):
-        lhs = F.log_derive(j + 1) + module.connection[j] * F
-        rhs = F * divided[j]
-        loc = lhs.first_difference(rhs, mods)
+    for j, (Aj, Bj) in enumerate(zip(A, B)):
+        loc = (H.log_derive(j + 1) + Aj * H).first_difference(H * Bj, row_mods)
         if loc is not None:
             failures.append({"slot": j + 1, "row": loc[0], "col": loc[1]})
-    return CheckResult("horizontal", not failures, failures)
+    return failures
 
 
 def run_all_checks(module: LogFFModule) -> dict[str, CheckResult]:
@@ -490,15 +502,8 @@ def check_morphism(md: MorphismData) -> dict[str, CheckResult]:
 
 
 def _morphism_connection(md: MorphismData) -> CheckResult:
-    failures = []
-    H = md.matrix
-    mods = md.target.torsions
-    for j in range(md.source.spec.d):
-        lhs = H.log_derive(j + 1) + md.target.connection[j] * H
-        rhs = H * md.source.connection[j]
-        loc = lhs.first_difference(rhs, mods)
-        if loc is not None:
-            failures.append({"slot": j + 1, "row": loc[0], "col": loc[1]})
+    failures = _horizontal_failures(md.matrix, md.target.connection, md.source.connection,
+                                    md.target.torsions)
     return CheckResult("connection", not failures, failures)
 
 
@@ -669,19 +674,8 @@ def nullspace_mod_pn(rows: list[list[int]], ncols: int, p: int, n: int) -> list[
     gens = []
     rank = min(len(D), ncols)
     for i in range(ncols):
-        d = D[i][i] if i < rank else 0
-        if d == 0:
-            scale = 1
-        else:
-            v = 0
-            dd = d
-            while dd % p == 0:
-                dd //= p
-                v += 1
-            if v >= n:
-                scale = 1
-            else:
-                scale = p ** (n - v)
+        v = int_valp(D[i][i] if i < rank else 0, p)
+        scale = 1 if v >= n else p ** (n - v)
         if scale < q:
             gens.append([V[r][i] * scale % q for r in range(ncols)])
     return [g for g in gens if any(g)]
@@ -779,14 +773,4 @@ def solve_frobenius(spec: RingSpec, hodge_range: tuple[int, int], basis: list[Ba
 def _vector_order(g: list[int], p: int, n: int) -> int:
     """Additive order of a vector mod p^n: p^(n - min valuation of its entries)."""
     q = p ** n
-    minval = n
-    for c in g:
-        c %= q
-        if c == 0:
-            continue
-        v = 0
-        while c % p == 0:
-            c //= p
-            v += 1
-        minval = min(minval, v)
-    return p ** (n - minval)
+    return p ** (n - min([n] + [int_valp(c % q, p) for c in g]))

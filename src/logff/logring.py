@@ -143,6 +143,13 @@ def falling_product(exps: tuple[int, ...], index: tuple[int, ...]) -> int:
     return f
 
 
+def _slot0(spec: RingSpec, j: int) -> int:
+    """The 0-based position of the 1-based slot index j; ValueError if out of range."""
+    if not 1 <= j <= spec.d:
+        raise ValueError(f"slot index {j} out of range 1..{spec.d}")
+    return j - 1
+
+
 class RingElem:
     """Sparse element of the mixed polynomial/Laurent ring mod p^n.
 
@@ -199,10 +206,8 @@ class RingElem:
     @classmethod
     def variable(cls, spec: RingSpec, j: int, power: int = 1) -> "RingElem":
         """T_j^power for the 1-based slot index j."""
-        if not 1 <= j <= spec.d:
-            raise ValueError(f"slot index {j} out of range 1..{spec.d}")
         exps = [0] * spec.d
-        exps[j - 1] = power
+        exps[_slot0(spec, j)] = power
         return cls(spec, {tuple(exps): 1})
 
     @classmethod
@@ -299,12 +304,12 @@ class RingElem:
 
     def log_derive(self, j: int) -> "RingElem":
         """delta_j = T_j d/dT_j on the 1-based slot j: T^E -> E_j T^E."""
-        j0 = j - 1
+        j0 = _slot0(self.spec, j)
         return RingElem(self.spec, {e: e[j0] * c for e, c in self.terms.items()})
 
     def d_dT(self, j: int) -> "RingElem":
         """Ordinary derivative d/dT_j; produces T_j^{-1} factors, so the slot must be Laurent."""
-        j0 = j - 1
+        j0 = _slot0(self.spec, j)
         out: dict[tuple[int, ...], int] = {}
         for e, c in self.terms.items():
             if e[j0] == 0:
@@ -316,6 +321,8 @@ class RingElem:
 
     def falling_coeff(self, index: tuple[int, ...]) -> "RingElem":
         """Scalar falling-factorial operator: T^E -> (prod_j falling(E_j, i_j)) T^E."""
+        if len(index) != self.spec.d:
+            raise ValueError(f"multi-index {index} has wrong length for d={self.spec.d}")
         out: dict[tuple[int, ...], int] = {}
         for e, c in self.terms.items():
             f = falling_product(e, index)
@@ -569,45 +576,6 @@ class FrobLift:
         if not isinstance(other, FrobLift):
             return NotImplemented
         return self.spec == other.spec and self.u == other.u
-
-
-# -- spec-named operation wrappers ------------------------------------------
-
-
-def ring_mul(x: RingElem, y: RingElem) -> RingElem:
-    """Sparse product in R; SpecMismatchError if the specs differ."""
-    return x * y
-
-
-def apply_frobenius(r: RingElem, lift: FrobLift) -> RingElem:
-    """Ring-homomorphic image T^E -> prod_j (w_j T_j^p)^{E_j}, coefficients fixed."""
-    if r.spec != lift.spec:
-        raise SpecMismatchError("element and lift live over different specs")
-    return lift.apply(r)
-
-
-def log_derive(r: RingElem, j: int) -> RingElem:
-    """delta_j(T^E) = E_j * T^E extended additively (1-based slot index)."""
-    if not 1 <= j <= r.spec.d:
-        raise ValueError(f"slot index {j} out of range 1..{r.spec.d}")
-    return r.log_derive(j)
-
-
-def falling_op(r: RingElem, index: tuple[int, ...]) -> RingElem:
-    """The scalar operator prod_j prod_{k<i_j} (delta_j - k) on ring elements."""
-    if len(index) != r.spec.d:
-        raise ValueError("multi-index length must equal d")
-    return r.falling_coeff(tuple(index))
-
-
-def apply_ring_map(r: RingElem, f: RingMap) -> RingElem:
-    """Substitution homomorphism along a unit-monomial map."""
-    return f.apply(r)
-
-
-def localize(r: RingElem) -> RingElem:
-    """The same element over the spec with every slot Laurent (s = 0)."""
-    return r.with_spec(r.spec.localized())
 
 
 # -- truncation control ------------------------------------------------------

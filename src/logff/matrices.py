@@ -126,13 +126,8 @@ class Matrix:
 
     def eq_mod_rows(self, other: "Matrix", row_mods: list[int]) -> bool:
         """Entrywise equality where row i is compared mod p^row_mods[i]."""
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            return False
-        for i, m in enumerate(row_mods):
-            for a, b in zip(self.rows[i], other.rows[i]):
-                if not a.eq_mod(b, m):
-                    return False
-        return True
+        return ((self.nrows, self.ncols) == (other.nrows, other.ncols)
+                and self.first_difference(other, row_mods) is None)
 
     def first_difference(self, other: "Matrix", row_mods: list[int]):
         """(row, col) of the first entry differing mod the row torsion, or None."""

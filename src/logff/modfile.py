@@ -39,10 +39,16 @@ from .logring import FrobLift, RingMap, RingSpec
 from .matrices import Matrix
 
 
-def _spec_from_dict(doc: dict) -> RingSpec:
+def _spec_from_dict(doc: dict, path: str) -> RingSpec:
     try:
-        return RingSpec(int(doc["p"]), int(doc["n"]), int(doc["d"]), int(doc["s"]))
-    except (KeyError, TypeError, ValueError) as exc:
+        values = [doc[key] for key in "pnds"]
+    except (KeyError, TypeError) as exc:
+        raise InvariantViolationError("ring", str(exc)) from None
+    for key, value in zip("pnds", values):
+        _require_int(value, f"{path}.{key}")
+    try:
+        return RingSpec(*values)
+    except ValueError as exc:
         raise InvariantViolationError("ring", str(exc)) from None
 
 
@@ -60,18 +66,20 @@ def _shape_error(path: str, expected: str, value) -> InvariantViolationError:
     return InvariantViolationError(path, f"expected {expected}, got {got}")
 
 
+def _require_int(value, path: str):
+    if type(value) is not int:   # a JSON integer; bool is a subclass of int
+        raise _shape_error(path, "an integer", value)
+
+
 def _sized(value) -> bool:
     """A JSON value with a length: an array, an object or a string."""
     return isinstance(value, (list, dict, str))
 
 
 def _expr(entry, spec: RingSpec, path: str):
-    # A non-empty object is passed on to parse_expr, which refuses it with a
-    # KeyError (exit 2); refusing it here would change the message of a
-    # document that is refused either way.
-    if isinstance(entry, str) or (isinstance(entry, dict) and entry):
-        return parse_expr(entry, spec)
-    raise _shape_error(path, "an expression string", entry)
+    if not isinstance(entry, str):
+        raise _shape_error(path, "an expression string", entry)
+    return parse_expr(entry, spec)
 
 
 def _matrix_from_lists(rows, spec: RingSpec, what: str, path: str) -> Matrix:
@@ -92,16 +100,18 @@ def _matrix_to_lists(mat: Matrix) -> list[list[str]]:
 
 def module_from_dict(doc: dict, wide_range: bool = False
                      ) -> tuple[LogFFModule, dict[str, FrobLift]]:
-    spec = _spec_from_dict(doc.get("ring", {}))
+    spec = _spec_from_dict(doc.get("ring", {}), "ring")
     try:
         a, b = (int(v) for v in doc["hodge_range"])
-        basis = [BasisVector(str(v["name"]), int(v["level"]), int(v["torsion"]))
-                 for v in doc["basis"]]
+        basis = [BasisVector(str(v["name"]), v["level"], v["torsion"]) for v in doc["basis"]]
         lift_docs = doc["lifts"]
         conn_docs = doc["connection"]
         frob_doc = doc["frobenius"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InvariantViolationError("document_shape", str(exc)) from None
+    for k, v in enumerate(basis):
+        _require_int(v.level, f"basis[{k}].level")
+        _require_int(v.torsion, f"basis[{k}].torsion")
     # Each type check sits where its value is first used and refuses only
     # what the code after it cannot read, so the first fault found in a
     # document, and with it the message, does not depend on these checks.
@@ -180,26 +190,33 @@ def serialize_module(module: LogFFModule, lifts: dict[str, FrobLift],
 
 
 def map_from_dict(doc: dict) -> tuple[RingMap, FrobLift]:
-    source = _spec_from_dict(doc.get("source_ring", {}))
-    target = _spec_from_dict(doc.get("target_ring", {}))
+    source = _spec_from_dict(doc.get("source_ring", {}), "source_ring")
+    target = _spec_from_dict(doc.get("target_ring", {}), "target_ring")
     try:
         image_docs = doc["images"]
         lift_doc = doc["target_lift"]
     except (KeyError, TypeError) as exc:
         raise InvariantViolationError("document_shape", str(exc)) from None
+    if not isinstance(image_docs, list):
+        raise _shape_error("images", "an array of image objects", image_docs)
     images = []
-    for img in image_docs:
+    for k, img in enumerate(image_docs):
         try:
             c = int(img["c"])
             exps = tuple(int(e) for e in img["monomial"])
-            h = parse_expr(img.get("h", "0"), target)
+            h = _expr(img.get("h", "0"), target, f"images[{k}].h")
+        except InvariantViolationError:
+            raise
         except (KeyError, TypeError, ValueError) as exc:
             raise InvariantViolationError("map_image", str(exc)) from None
         images.append((c, exps, h))
     ring_map = RingMap(source, target, images)
+    if not isinstance(lift_doc, list):
+        raise _shape_error("target_lift", f"an array of {target.d} expression strings", lift_doc)
     if len(lift_doc) != target.d:
         raise InvariantViolationError("target_lift", f"need {target.d} unit parts")
-    lift = FrobLift(target, [parse_expr(e, target) for e in lift_doc])
+    lift = FrobLift(target, [_expr(e, target, f"target_lift[{j}]")
+                             for j, e in enumerate(lift_doc)])
     return ring_map, lift
 
 
@@ -208,6 +225,8 @@ def parse_map_file(text: str) -> tuple[RingMap, FrobLift]:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", exc.pos, text) from None
+    if not isinstance(doc, dict):
+        raise InvariantViolationError("document_shape", "top level must be an object")
     return map_from_dict(doc)
 
 

@@ -1,7 +1,7 @@
 """Batch verification grid: every identity suite on one deterministic run.
 
-Used by the `selftest` CLI command and mirrored (with larger sample counts)
-by the acceptance test suite.  Each section reports ok/fail plus counters;
+Used by the `selftest` CLI command; the acceptance test suite calls the same
+section functions with its own (larger) sizes.  Each section reports ok/fail plus counters;
 NonIntegral errors are never caught silently, they fail the section that
 raised them.
 """

@@ -22,8 +22,9 @@ from .ffmodule import (
     ElementNotInFilError,
     InvariantViolationError,
     LogFFModule,
+    _horizontal_failures,
+    _ordinary_connection_op,
     _reduce_entry,
-    _trie_parent,
     check_flat,
     check_griffiths,
     divided_connection,
@@ -68,8 +69,7 @@ def _require_valid_for_glue(module: LogFFModule):
 
 
 def _glue_columns(module: LogFFModule, g1: RingMap, g2: RingMap,
-                  vectors: list[tuple[int, list[RingElem]]],
-                  op=None, mode: str = "ratio"):
+                  vectors: list[tuple[int, list[RingElem]]], mode: str = "ratio"):
     """Shared engine: apply the gluing formula to (level, vector) pairs.
 
     Each vector must lie in Fil^level; the result is the list of tilde
@@ -77,18 +77,20 @@ def _glue_columns(module: LogFFModule, g1: RingMap, g2: RingMap,
     the coefficient engine used.  The maps may carry extra precision
     (composites must; see work_precision).
 
-    op is the connection operator, falling_connection_op unless given; mode
-    selects the matching coefficient stream of DividedCoeffs.  The module's
-    GlueCache supplies the operator vectors of its basis vectors and the
-    coefficients of a repeated (g1, g2, mode); any other vector gets an
-    operator memo that lives for this call only.
+    mode selects the coefficient stream of DividedCoeffs and with it the
+    connection operator: "ratio" the logarithmic one, falling_connection_op,
+    and "difference" the classical one, _ordinary_connection_op.  The
+    module's GlueCache supplies the operator vectors of its basis vectors
+    and the coefficients of a repeated (g1, g2, mode); any other vector gets
+    an operator memo that lives for this call only.
     """
     a, b = module.hodge_range
     base_n = module.spec.n
     if g1.source.with_precision(base_n) != module.spec:
         raise SpecMismatchError("maps must start at the module's ring")
-    if op is None:
-        op = falling_connection_op
+    # read at call time, so that a wrapper installed on the module-level name
+    # sees every operator call
+    op = falling_connection_op if mode == "ratio" else _ordinary_connection_op
     cache = module._glue_cache
     key = (g1, g2, mode)
     entry = cache.coeffs
@@ -104,7 +106,7 @@ def _glue_columns(module: LogFFModule, g1: RingMap, g2: RingMap,
     columns = []
     for i, vec in vectors:
         if vec in basis:
-            memo = cache.operator_memos.setdefault((op, basis.index(vec)), {})
+            memo = cache.operator_memos.setdefault((mode, basis.index(vec)), {})
         else:
             memo = {}
         out = [RingElem.zero(target) for _ in range(module.rank)]
@@ -134,10 +136,10 @@ def _glue_columns(module: LogFFModule, g1: RingMap, g2: RingMap,
     return columns, coeffs
 
 
-def _basis_glue(module: LogFFModule, g1: RingMap, g2: RingMap, op=None, mode: str = "ratio"):
+def _basis_glue(module: LogFFModule, g1: RingMap, g2: RingMap, mode: str = "ratio"):
     """_glue_columns on the basis vectors, as a matrix (column k for e_k)."""
     vectors = [(module.levels[k], module.basis_vector(k)) for k in range(module.rank)]
-    columns, coeffs = _glue_columns(module, g1, g2, vectors, op, mode)
+    columns, coeffs = _glue_columns(module, g1, g2, vectors, mode)
     rows = [[columns[k][m] for k in range(module.rank)] for m in range(module.rank)]
     return Matrix(coeffs.base_spec, rows), coeffs
 
@@ -218,42 +220,7 @@ def check_glue_horizontal(module: LogFFModule, l1: FrobLift, l2: FrobLift,
     g = _glue_for(module, l1, l2, glue)
     div1 = divided_connection(module, l1)
     div2 = divided_connection(module, l2)
-    G = g.matrix
-    for j in range(module.spec.d):
-        lhs = G.log_derive(j + 1) + div2[j] * G
-        rhs = G * div1[j]
-        if not lhs.eq_mod_rows(rhs, module.torsions):
-            return False
-    return True
-
-
-def _ordinary_connection_op(connection: list[Matrix], vec: list[RingElem],
-                            index: tuple[int, ...], *, memo: dict) -> list[RingElem]:
-    """Iterated nabla(d/dT_j) = entrywise d/dT_j plus A_j T_j^{-1}, slot by slot.
-
-    Built along the index trie like falling_connection_op with a memo: the
-    last factor is one application of the ordinary operator of the last
-    nonzero slot.
-    """
-    got = memo.get(index)
-    if got is not None:
-        return got
-    step = _trie_parent(index)
-    if step is None:
-        out = list(vec)
-    else:
-        j0, parent = step
-        prev = memo.get(parent)
-        if prev is None:
-            prev = _ordinary_connection_op(connection, vec, parent, memo=memo)
-        if all(v.is_zero() for v in prev):
-            out = prev
-        else:
-            tinv = RingElem.variable(connection[j0].spec, j0 + 1, -1)
-            applied = connection[j0].scale(tinv).mul_vec(prev)
-            out = [x + v.d_dT(j0 + 1) for x, v in zip(applied, prev)]
-    memo[index] = out
-    return out
+    return not _horizontal_failures(g.matrix, div2, div1, module.torsions)
 
 
 def check_nonlog_agreement(module: LogFFModule, l1: FrobLift, l2: FrobLift) -> bool:
@@ -262,8 +229,7 @@ def check_nonlog_agreement(module: LogFFModule, l1: FrobLift, l2: FrobLift) -> b
     if module.spec.s != 0:
         raise ValueError("non-log comparison needs all slots Laurent (s = 0)")
     G = glue_map(module, l1, l2).matrix
-    classical, _ = _basis_glue(module, _as_map(l1), _as_map(l2),
-                               op=_ordinary_connection_op, mode="difference")
+    classical, _ = _basis_glue(module, _as_map(l1), _as_map(l2), mode="difference")
     return G.eq_mod_rows(classical, module.torsions)
 
 

@@ -8,25 +8,23 @@ import random
 import time
 
 from logff.exactnum import NonIntegralError
-from logff.ffcoeff import falling_poly, structure_constants, verify_coeff_identity
 from logff.ffmodule import (
-    build_tilde,
     reduce_mod_pm,
     root_map,
     root_pullback,
     run_all_checks,
+    tilde_embed,
 )
 from logff.fixtures import (
     check_corpus,
     glue_corpus,
-    negative_controls,
     nil2,
     random_elem,
     random_lift,
 )
-from logff.logring import FrobLift, RingElem, RingMap, RingSpec, taylor_residual
+from logff.logring import FrobLift, RingElem, RingMap
 from logff.matrices import Matrix
-from logff.selftest import run_selftest
+from logff.selftest import _coeff_section, _negative_section, _taylor_section, run_selftest
 from logff.transport import (
     check_glue_cocycle,
     check_glue_horizontal,
@@ -59,49 +57,25 @@ def _acceptance_fixtures():
     return out
 
 
+def _run_section(section, failures):
+    """Run a selftest section; its assertion message becomes a failure."""
+    try:
+        section()
+    except AssertionError as exc:
+        failures.append(str(exc))
+
+
 def test_a1_coefficient_lemma():
     started = time.perf_counter()
     failures = []
-    for k in range(7):
-        if not verify_coeff_identity(k, 6):
-            failures.append(f"identity k={k}")
-
-    def mul(a, b):
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return out
-
-    for m in range(9):
-        for n in range(9):
-            lhs = [0] * (m + n + 1)
-            for k, c in structure_constants(m, n).table.items():
-                for i, fc in enumerate(falling_poly(k).coeffs):
-                    lhs[i] += c * fc
-            rhs = mul(list(falling_poly(m).coeffs), list(falling_poly(n).coeffs))
-            rhs += [0] * (len(lhs) - len(rhs))
-            if lhs != rhs:
-                failures.append(f"product ({m},{n})")
+    _run_section(lambda: _coeff_section(max_mn=8), failures)
     _verdict("A1 (coefficient lemma)", failures, started)
 
 
 def test_a2_log_taylor_formula():
     started = time.perf_counter()
     failures = []
-    rng = random.Random(0xA2)
-    for p in (3, 5):
-        for n in (1, 2, 3):
-            for d in (1, 2):
-                for s in range(d + 1):
-                    spec = RingSpec(p, n, d, s)
-                    for _ in range(100):
-                        l1 = random_lift(rng, spec)
-                        l2 = random_lift(rng, spec)
-                        r = random_elem(rng, spec)
-                        if not taylor_residual(r, l1, l2).is_zero():
-                            failures.append(f"{spec}")
-                            break
+    _run_section(lambda: _taylor_section(ns=(1, 2, 3), per_cell=100, seed=0xA2), failures)
     _verdict("A2 (logarithmic Taylor formula)", failures, started)
 
 
@@ -238,13 +212,12 @@ def test_a11_structure_checks():
     # tilde relation emb_i = p * emb_{i+1} on Fil^{i+1}
     for p, n in GRID_PN:
         for name, mod in check_corpus(p, n):
-            tilde = build_tilde(mod)
             a, b = mod.hodge_range
             for i in range(a, b):
                 vec = [random_elem(rng, mod.spec) if v.level >= i + 1
                        else RingElem.zero(mod.spec) for v in mod.basis]
-                lhs = tilde.embed(vec, i)
-                rhs = [x.scale(mod.spec.p) for x in tilde.embed(vec, i + 1)]
+                lhs = tilde_embed(mod, vec, i)
+                rhs = [x.scale(mod.spec.p) for x in tilde_embed(mod, vec, i + 1)]
                 if not all(le.eq_mod(ri, v.torsion)
                            for le, ri, v in zip(lhs, rhs, mod.basis)):
                     failures.append(f"tilde relation: {name} level {i}")
@@ -253,11 +226,7 @@ def test_a11_structure_checks():
     if not all(v.ok for v in results.values()):
         failures.append("nil2 does not pass all checks")
     # negative controls fail exactly the intended check
-    for name, mod, expected in negative_controls(5, 2):
-        results = run_all_checks(mod)
-        failing = [k for k, v in results.items() if not v.ok and not v.skipped]
-        if failing != [expected]:
-            failures.append(f"{name}: failed {failing}, expected [{expected}]")
+    _run_section(_negative_section, failures)
     _verdict("A11 (structure checks and negative controls)", failures, started)
 
 

@@ -71,8 +71,17 @@ class TestCheck:
         (lambda d: d.__setitem__("frobenius", [["1", "0"], ["0", "1"]]), "frobenius"),
         (lambda d: d["connection"][0].__setitem__(1, ["0"]), "connection[0][1]"),
         (lambda d: d.__setitem__("hodge_range", "01"), "hodge_range"),
+        (lambda d: d["connection"][0][0].__setitem__(1, {"a": "0"}), "connection[0][0][1]"),
+        (lambda d: d["ring"].__setitem__("d", 1.5), "ring.d"),
+        (lambda d: d["ring"].__setitem__("d", True), "ring.d"),
+        (lambda d: d["ring"].__setitem__("d", "01"), "ring.d"),
+        (lambda d: d["ring"].__setitem__("n", 1.5), "ring.n"),
+        (lambda d: d["basis"][0].__setitem__("level", 0.5), "basis[0].level"),
+        (lambda d: d["basis"][1].__setitem__("torsion", True), "basis[1].torsion"),
     ], ids=["connection_entry_int", "lifts_as_list", "lift_entry_int", "lift_value_int",
-            "frobenius_as_list", "ragged_matrix", "hodge_range_string"])
+            "frobenius_as_list", "ragged_matrix", "hodge_range_string", "connection_entry_object",
+            "ring_d_float", "ring_d_bool", "ring_d_string", "ring_n_float", "basis_level_float",
+            "basis_torsion_bool"])
     def test_malformed_shape_exit_2(self, capsys, tmp_path, edit, where):
         from logff.fixtures import nil2
         from logff.modfile import module_to_dict
@@ -172,6 +181,26 @@ class TestPullback:
         doc = json.loads(out)
         # dlog frame: connection unchanged by a rescaling
         assert doc["module"]["connection"] == [[["0", "1"], ["0", "0"]]]
+
+    @pytest.mark.parametrize("edit,where", [
+        (lambda d: d.__setitem__("images", 0), "images"),
+        (lambda d: d.__setitem__("target_lift", 0), "target_lift"),
+        (lambda d: d.__setitem__("target_lift", [0]), "target_lift[0]"),
+        (lambda d: d.__setitem__("target_lift", "0"), "target_lift"),
+        (lambda d: d["images"][0].__setitem__("h", [0]), "images[0].h"),
+        (lambda d: d["source_ring"].__setitem__("n", 1.5), "source_ring.n"),
+        (lambda d: d["target_ring"].__setitem__("d", True), "target_ring.d"),
+        (lambda d: [d], "document_shape"),
+    ], ids=["images_int", "target_lift_int", "target_lift_entry_int", "target_lift_string",
+            "image_h_list", "source_ring_float", "target_ring_bool", "top_level_list"])
+    def test_malformed_map_exit_2(self, fixture_dir, capsys, tmp_path, edit, where):
+        doc = json.loads((fixture_dir / "map_rescale2_p5n1.json").read_text())
+        path = tmp_path / "malformed_map.json"
+        path.write_text(json.dumps(edit(doc) or doc))
+        code, out, err = run(capsys, "pullback", str(fixture_dir / "nil2_p5n1.json"),
+                             "--map", str(path), "--format", "json")
+        assert code == 2 and not out
+        assert err.startswith(f"error: {where}:") and "Traceback" not in err
 
 
 class TestCoeffs:

@@ -1,16 +1,24 @@
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, strategies as st
 
 from logff.ffcoeff import (
-    closed_form_constant,
     falling_poly,
     multi_structure_constants,
     structure_constants,
     to_falling_basis,
     verify_coeff_identity,
 )
+
+
+def closed_form_constant(m: int, n: int, k: int) -> int:
+    """Cross-check value a_{mn}^{m+n-j} = C(m,j) C(n,j) j! with j = m+n-k."""
+    j = m + n - k
+    if j < 0 or j > min(m, n):
+        return 0
+    return comb(m, j) * comb(n, j) * factorial(j)
 
 
 def test_falling_poly_examples():

@@ -10,7 +10,6 @@ from logff.ffmodule import (
     InvariantViolationError,
     LogFFModule,
     MorphismData,
-    build_tilde,
     check_flat,
     check_griffiths,
     check_horizontal,
@@ -22,6 +21,7 @@ from logff.ffmodule import (
     root_pullback,
     run_all_checks,
     solve_frobenius,
+    tilde_embed,
 )
 from logff.fixtures import (
     check_corpus,
@@ -85,33 +85,30 @@ class TestGriffiths:
 class TestTilde:
     def test_defining_relation(self):
         mod = nil2(5, 2)
-        tilde = build_tilde(mod)
         spec = mod.spec
         e1 = [RingElem.zero(spec), RingElem.one(spec)]
-        assert tilde.embed(e1, 0) == [RingElem.zero(spec), RingElem.const(spec, 5)]
-        assert tilde.embed(e1, 1) == [RingElem.zero(spec), RingElem.one(spec)]
+        assert tilde_embed(mod, e1, 0) == [RingElem.zero(spec), RingElem.const(spec, 5)]
+        assert tilde_embed(mod, e1, 1) == [RingElem.zero(spec), RingElem.one(spec)]
         both = [RingElem.one(spec), RingElem.one(spec)]
-        assert tilde.embed(both, 0) == [RingElem.one(spec), RingElem.const(spec, 5)]
+        assert tilde_embed(mod, both, 0) == [RingElem.one(spec), RingElem.const(spec, 5)]
 
     def test_not_in_fil(self):
         mod = nil2(5, 2)
-        tilde = build_tilde(mod)
         e0 = [RingElem.one(mod.spec), RingElem.zero(mod.spec)]
         with pytest.raises(ElementNotInFilError):
-            tilde.embed(e0, 1)
+            tilde_embed(mod, e0, 1)
 
     @pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (5, 3)])
     def test_tilde_relation_on_corpus(self, p, n):
         # emb_i = p * emb_{i+1} on Fil^{i+1}, for all fixtures and levels
         rng = random.Random(p + n)
         for name, mod in check_corpus(p, n):
-            tilde = build_tilde(mod)
             a, b = mod.hodge_range
             for i in range(a, b):
                 vec = [random_elem(rng, mod.spec) if v.level >= i + 1
                        else RingElem.zero(mod.spec) for v in mod.basis]
-                lhs = tilde.embed(vec, i)
-                rhs = [x.scale(mod.spec.p) for x in tilde.embed(vec, i + 1)]
+                lhs = tilde_embed(mod, vec, i)
+                rhs = [x.scale(mod.spec.p) for x in tilde_embed(mod, vec, i + 1)]
                 for le, ri, v in zip(lhs, rhs, mod.basis):
                     assert le.eq_mod(ri, v.torsion), name
 
@@ -332,6 +329,13 @@ class TestMorphisms:
         assert res["filtration"].ok
         assert not res["strictness"].ok
         assert res["strictness"].failures[0]["level"] == 1
+
+    def test_connection_failure_names_its_slot(self):
+        # H = T_2 commutes with the zero connection but delta_2(H) = T_2 != 0
+        mod = rank1_flat(5, 2, d=2, s=1)
+        H = Matrix(mod.spec, [[RingElem.variable(mod.spec, 2)]])
+        res = check_morphism(MorphismData(mod, mod, H))
+        assert res["connection"].failures == [{"slot": 2, "row": 0, "col": 0}]
 
     def test_filtration_violation_reported(self):
         mod = nil2(5, 1)

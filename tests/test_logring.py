@@ -15,15 +15,9 @@ from logff.logring import (
     RingMap,
     RingSpec,
     SpecMismatchError,
-    apply_frobenius,
-    apply_ring_map,
     design_shell_bound,
     falling,
-    falling_op,
-    localize,
-    log_derive,
     multi_indices,
-    ring_mul,
     stop_shell,
     taylor_residual,
 )
@@ -38,14 +32,14 @@ class TestRingMul:
     def test_examples(self):
         spec = RingSpec(5, 1, 1, 1)
         one = RingElem.one(spec)
-        assert ring_mul(T(spec) + one, T(spec) - one) == T(spec, power=2) - one
+        assert (T(spec) + one) * (T(spec) - one) == T(spec, power=2) - one
         x = RingElem(spec, {(0,): 3, (2,): 4})
-        assert ring_mul(x, one) == x
-        assert ring_mul(T(spec).scale(2), T(spec).scale(3)) == T(spec, power=2)
+        assert x * one == x
+        assert T(spec).scale(2) * T(spec).scale(3) == T(spec, power=2)
 
     def test_spec_mismatch(self):
         with pytest.raises(SpecMismatchError):
-            ring_mul(T(RingSpec(5, 1, 1, 1)), T(RingSpec(5, 2, 1, 1)))
+            T(RingSpec(5, 1, 1, 1)) * T(RingSpec(5, 2, 1, 1))
 
     def test_divisor_slot_rejects_negative_exponent(self):
         with pytest.raises(ValueError):
@@ -59,16 +53,16 @@ class TestFrobenius:
         spec = RingSpec(3, 2, 1, 1)
         lift = FrobLift.standard(spec)
         r = T(spec).scale(2) + RingElem.one(spec)
-        assert apply_frobenius(r, lift) == T(spec, power=3).scale(2) + RingElem.one(spec)
+        assert lift.apply(r) == T(spec, power=3).scale(2) + RingElem.one(spec)
 
         spec0 = RingSpec(3, 2, 1, 0)
         lift1 = FrobLift(spec0, [RingElem.one(spec0)])
         # (1+p)^{-1} = 1 - p = 7 mod 9 by extended Euclid
         assert modinv(4, 9) == 7
-        assert apply_frobenius(T(spec0, power=-1), lift1) == T(spec0, power=-3).scale(7)
+        assert lift1.apply(T(spec0, power=-1)) == T(spec0, power=-3).scale(7)
 
         const = RingElem.const(spec, 5)
-        assert apply_frobenius(const, lift) == const
+        assert lift.apply(const) == const
 
     @pytest.mark.parametrize("p,n,d,s", [(3, 1, 1, 1), (3, 2, 2, 1), (5, 2, 2, 0)])
     def test_ring_homomorphism(self, p, n, d, s):
@@ -77,10 +71,8 @@ class TestFrobenius:
         for _ in range(500):
             lift = random_lift(rng, spec)
             x, y = random_elem(rng, spec), random_elem(rng, spec)
-            assert apply_frobenius(x + y, lift) == \
-                apply_frobenius(x, lift) + apply_frobenius(y, lift)
-            assert apply_frobenius(x * y, lift) == \
-                apply_frobenius(x, lift) * apply_frobenius(y, lift)
+            assert lift.apply(x + y) == lift.apply(x) + lift.apply(y)
+            assert lift.apply(x * y) == lift.apply(x) * lift.apply(y)
 
     @pytest.mark.parametrize("p,n,d,s", [(3, 2, 1, 1), (5, 2, 2, 2), (5, 3, 1, 0)])
     def test_lift_property_mod_p(self, p, n, d, s):
@@ -89,41 +81,54 @@ class TestFrobenius:
         for _ in range(500):
             lift = random_lift(rng, spec)
             r = random_elem(rng, spec)
-            assert apply_frobenius(r, lift).eq_mod(r ** p, 1)
+            assert lift.apply(r).eq_mod(r ** p, 1)
 
 
 class TestDerivations:
     def test_log_derive_examples(self):
         spec = RingSpec(5, 2, 1, 1)
-        assert log_derive(T(spec, power=4), 1) == T(spec, power=4).scale(4)
+        assert T(spec, power=4).log_derive(1) == T(spec, power=4).scale(4)
         spec0 = RingSpec(5, 2, 1, 0)
-        assert log_derive(T(spec0, power=-2), 1) == T(spec0, power=-2).scale(-2)
-        assert log_derive(RingElem.const(spec, 7), 1).is_zero()
+        assert T(spec0, power=-2).log_derive(1) == T(spec0, power=-2).scale(-2)
+        assert RingElem.const(spec, 7).log_derive(1).is_zero()
 
     def test_derivations_commute(self):
         rng = random.Random(42)
         spec = RingSpec(3, 2, 2, 1)
         for _ in range(100):
             r = random_elem(rng, spec)
-            assert log_derive(log_derive(r, 1), 2) == log_derive(log_derive(r, 2), 1)
+            assert r.log_derive(1).log_derive(2) == r.log_derive(2).log_derive(1)
 
     def test_leibniz(self):
         rng = random.Random(43)
         spec = RingSpec(5, 2, 2, 2)
         for _ in range(100):
             x, y = random_elem(rng, spec), random_elem(rng, spec)
-            assert log_derive(x * y, 1) == log_derive(x, 1) * y + x * log_derive(y, 1)
+            assert (x * y).log_derive(1) == x.log_derive(1) * y + x * y.log_derive(1)
+
+    def test_slot_out_of_range(self):
+        spec = RingSpec(5, 2, 2, 1)
+        r = T(spec) + T(spec, 2)
+        for j in (0, spec.d + 1):
+            with pytest.raises(ValueError, match="slot index"):
+                r.log_derive(j)
 
 
 class TestFallingOp:
     def test_examples(self):
         spec = RingSpec(5, 2, 1, 1)
         assert falling(4, 2) == 12
-        assert falling_op(T(spec, power=4), (2,)) == T(spec, power=4).scale(12)
-        assert falling_op(T(spec), (2,)).is_zero()
+        assert T(spec, power=4).falling_coeff((2,)) == T(spec, power=4).scale(12)
+        assert T(spec).falling_coeff((2,)).is_zero()
         spec2 = RingSpec(5, 2, 2, 2)
         t1t2 = RingElem.monomial(spec2, (1, 1))
-        assert falling_op(t1t2, (1, 1)) == t1t2
+        assert t1t2.falling_coeff((1, 1)) == t1t2
+
+    def test_index_of_wrong_length(self):
+        t1t2 = RingElem.monomial(RingSpec(5, 2, 2, 2), (1, 1))
+        for index in [(1,), (1, 1, 0)]:
+            with pytest.raises(ValueError, match="wrong length"):
+                t1t2.falling_coeff(index)
 
     def test_composition_is_structure_constants(self):
         # scalar avatar of the operator identity, constants from ffcoeff
@@ -134,10 +139,10 @@ class TestFallingOp:
             r = random_elem(rng, spec)
             for I in indices:
                 for J in indices:
-                    lhs = falling_op(falling_op(r, J), I)
+                    lhs = r.falling_coeff(J).falling_coeff(I)
                     rhs = RingElem.zero(spec)
                     for K, a in multi_structure_constants(I, J).items():
-                        rhs = rhs + falling_op(r, K).scale(a)
+                        rhs = rhs + r.falling_coeff(K).scale(a)
                     assert lhs == rhs, (I, J)
 
 
@@ -164,13 +169,13 @@ class TestRingMap:
     def test_examples(self):
         spec = RingSpec(5, 2, 1, 1)
         f = RingMap(spec, spec, [(1, (25,), RingElem.zero(spec))])
-        assert apply_ring_map(T(spec), f) == T(spec, power=25)
+        assert f.apply(T(spec)) == T(spec, power=25)
         ident = RingMap.identity(spec)
         r = RingElem(spec, {(0,): 3, (2,): 4})
-        assert apply_ring_map(r, ident) == r
+        assert ident.apply(r) == r
         spec1 = RingSpec(5, 1, 1, 1)
         g = RingMap(spec1, spec1, [(2, (1,), RingElem.zero(spec1))])
-        assert apply_ring_map(T(spec1, power=2), g) == T(spec1, power=2).scale(4)
+        assert g.apply(T(spec1, power=2)) == T(spec1, power=2).scale(4)
 
     def test_unit_monomial_invariants(self):
         spec = RingSpec(5, 2, 2, 1)
@@ -216,10 +221,10 @@ class TestLocalize:
     def test_examples(self):
         spec = RingSpec(5, 1, 1, 1)
         r = T(spec) + RingElem.one(spec)
-        loc = localize(r)
+        loc = r.with_spec(r.spec.localized())
         assert loc.spec.s == 0
         assert loc.terms == r.terms
-        again = localize(loc)
+        again = loc.with_spec(loc.spec.localized())
         assert again == loc
         # Laurent multiplication is legal after localizing
         shifted = loc * RingElem.variable(loc.spec, 1, -1)
@@ -588,13 +593,13 @@ def _per_index_residual(r, lift1, lift2):
     """taylor_residual with one product Psi(delta^I r) * x_I per index I."""
     spec = r.spec
     coeffs = DividedCoeffs(lift1.as_ring_map(), lift2.as_ring_map(), width=0)
-    acc = apply_frobenius(r, lift1)
+    acc = lift1.apply(r)
     for c in range(coeffs.stop):
         for index in multi_indices(spec.d, c):
-            part = falling_op(r, index)
+            part = r.falling_coeff(index)
             if part.is_zero():
                 continue
-            acc = acc - apply_frobenius(part, lift2) * coeffs.coeff(index, 0)
+            acc = acc - lift2.apply(part) * coeffs.coeff(index, 0)
     return acc
 
 

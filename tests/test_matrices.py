@@ -36,6 +36,8 @@ def test_eq_mod_rows():
     assert A.eq_mod_rows(B, [1, 2])
     assert A.first_difference(B, [2, 2]) == (0, 1)
     assert A.first_difference(B, [1, 1]) is None
+    # a shape mismatch is a difference even where the compared rows agree
+    assert not A.eq_mod_rows(Matrix.from_ints(SPEC, [[1, 5]]), [2])
 
 
 def test_log_derive_entrywise():

@@ -113,6 +113,10 @@ def test_disk_corpus_round_trips(fixture_dir):
     (lambda d: d.__setitem__("hodge_range", "0"),
      "document_shape: not enough values to unpack (expected 2, got 1)"),
     (lambda d: d["frobenius"].__setitem__("lift", 0), "frobenius: unknown lift 0"),
+    # integer ring fields keep the messages of the ring's own checks
+    (lambda d: d["ring"].pop("n"), "ring: 'n'"),
+    (lambda d: d["ring"].__setitem__("p", 9), "ring: p must be an odd prime, got 9"),
+    (lambda d: d["ring"].__setitem__("s", 2), "ring: need 0 <= s <= d"),
     # several faults: the one the older checks find first is reported
     (lambda d: (d.__setitem__("hodge_range", "01"), d["connection"].append([])),
      "connection_shape: need 1 matrices"),

@@ -6,6 +6,7 @@ from logff.ffmodule import (
     BasisVector,
     InvariantViolationError,
     LogFFModule,
+    _ordinary_connection_op,
     root_map,
     run_all_checks,
 )
@@ -22,7 +23,6 @@ from logff.logring import FrobLift, RingElem, RingMap, RingSpec, multi_indices, 
 from logff.matrices import Matrix
 from logff.modfile import parse_module_file
 from logff.transport import (
-    _ordinary_connection_op,
     check_glue_cocycle,
     check_glue_horizontal,
     check_glue_identity,
@@ -496,3 +496,11 @@ class TestGlueCache:
                 for idx in multi_indices(mod.spec.d, c):
                     assert _ordinary_connection_op(conn, vec, idx, memo=memo) == \
                         _ordinary_direct(conn, vec, idx)
+
+
+def test_package_attribute_is_the_transport_module():
+    import importlib
+
+    import logff
+    assert logff.transport is importlib.import_module("logff.transport")
+    assert logff.transport.transport is transport
