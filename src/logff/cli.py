@@ -9,6 +9,10 @@
 Exit codes: 0 all checks pass, 1 some check fails, 2 malformed input,
 3 a NonIntegral division was encountered.  JSON reports are deterministic
 for identical inputs up to the elapsed_ms timing fields.
+
+`main(argv)` may be called repeatedly in-process: it builds its argparse
+parser once per process, on the first call, and reuses it for every later
+call.
 """
 
 from __future__ import annotations
@@ -180,7 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="run the structural checks on a module file")
     p_check.add_argument("file")
     add_common(p_check)
-    p_check.set_defaults(fn=cmd_check)
 
     p_glue = sub.add_parser("glue", help="compute a gluing matrix and its properties")
     p_glue.add_argument("file")
@@ -189,30 +192,35 @@ def build_parser() -> argparse.ArgumentParser:
     p_glue.add_argument("--third", help="third lift for the cocycle test")
     p_glue.add_argument("--cocycle", action="store_true")
     add_common(p_glue)
-    p_glue.set_defaults(fn=cmd_glue)
 
     p_pull = sub.add_parser("pullback", help="pull a module back along a map file")
     p_pull.add_argument("file")
     p_pull.add_argument("--map", required=True)
     add_common(p_pull)
-    p_pull.set_defaults(fn=cmd_pullback)
 
     p_coeffs = sub.add_parser("coeffs", help="emit falling-factorial structure constants")
     p_coeffs.add_argument("--max", type=int, default=4)
     p_coeffs.add_argument("--format", choices=("text", "json"), default="text")
-    p_coeffs.set_defaults(fn=cmd_coeffs)
 
     p_self = sub.add_parser("selftest", help="run the verification grid")
     p_self.add_argument("--quick", action="store_true")
     p_self.add_argument("--format", choices=("text", "json"), default="text")
-    p_self.set_defaults(fn=cmd_selftest)
     return parser
 
 
+_parser = None   # built on the first main() call, then reused by every later call
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
+    # the handler is looked up at call time, so a later rebinding of
+    # cmd_<command> in this module is the one that runs
+    handler = globals()[f"cmd_{args.command}"]
     try:
-        return args.fn(args)
+        return handler(args)
     except NonIntegralError as exc:
         print(f"non-integral division: {exc}", file=sys.stderr)
         return EXIT_NON_INTEGRAL

@@ -96,9 +96,6 @@ class Matrix:
     def log_derive(self, j: int) -> "Matrix":
         return self.map_entries(lambda x: x.log_derive(j))
 
-    def transpose(self) -> "Matrix":
-        return Matrix(self.spec, list(zip(*self.rows)))
-
     def is_zero(self) -> bool:
         return all(x.is_zero() for r in self.rows for x in r)
 

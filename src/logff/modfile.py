@@ -103,13 +103,15 @@ def module_from_dict(doc: dict, wide_range: bool = False
     spec = _spec_from_dict(doc.get("ring", {}), "ring")
     try:
         a, b = (int(v) for v in doc["hodge_range"])
-        basis = [BasisVector(str(v["name"]), v["level"], v["torsion"]) for v in doc["basis"]]
+        basis = [BasisVector(v["name"], v["level"], v["torsion"]) for v in doc["basis"]]
         lift_docs = doc["lifts"]
         conn_docs = doc["connection"]
         frob_doc = doc["frobenius"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InvariantViolationError("document_shape", str(exc)) from None
     for k, v in enumerate(basis):
+        if not isinstance(v.name, str):
+            raise _shape_error(f"basis[{k}].name", "a string", v.name)
         _require_int(v.level, f"basis[{k}].level")
         _require_int(v.torsion, f"basis[{k}].torsion")
     # Each type check sits where its value is first used and refuses only
@@ -202,8 +204,13 @@ def map_from_dict(doc: dict) -> tuple[RingMap, FrobLift]:
     images = []
     for k, img in enumerate(image_docs):
         try:
-            c = int(img["c"])
-            exps = tuple(int(e) for e in img["monomial"])
+            c = img["c"]
+            _require_int(c, f"images[{k}].c")
+            exps = img["monomial"]
+            if not isinstance(exps, list):
+                raise _shape_error(f"images[{k}].monomial", "an array of integers", exps)
+            for j, e in enumerate(exps):
+                _require_int(e, f"images[{k}].monomial[{j}]")
             h = _expr(img.get("h", "0"), target, f"images[{k}].h")
         except InvariantViolationError:
             raise

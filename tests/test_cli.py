@@ -78,10 +78,12 @@ class TestCheck:
         (lambda d: d["ring"].__setitem__("n", 1.5), "ring.n"),
         (lambda d: d["basis"][0].__setitem__("level", 0.5), "basis[0].level"),
         (lambda d: d["basis"][1].__setitem__("torsion", True), "basis[1].torsion"),
+        (lambda d: d["basis"][0].__setitem__("name", None), "basis[0].name"),
+        (lambda d: d["basis"][1].__setitem__("name", 0), "basis[1].name"),
     ], ids=["connection_entry_int", "lifts_as_list", "lift_entry_int", "lift_value_int",
             "frobenius_as_list", "ragged_matrix", "hodge_range_string", "connection_entry_object",
             "ring_d_float", "ring_d_bool", "ring_d_string", "ring_n_float", "basis_level_float",
-            "basis_torsion_bool"])
+            "basis_torsion_bool", "basis_name_null", "basis_name_int"])
     def test_malformed_shape_exit_2(self, capsys, tmp_path, edit, where):
         from logff.fixtures import nil2
         from logff.modfile import module_to_dict
@@ -191,8 +193,19 @@ class TestPullback:
         (lambda d: d["source_ring"].__setitem__("n", 1.5), "source_ring.n"),
         (lambda d: d["target_ring"].__setitem__("d", True), "target_ring.d"),
         (lambda d: [d], "document_shape"),
+        (lambda d: d["images"][0].__setitem__("c", 1.5), "images[0].c"),
+        (lambda d: d["images"][0].__setitem__("c", True), "images[0].c"),
+        (lambda d: d["images"][0].__setitem__("c", "01"), "images[0].c"),
+        (lambda d: d["images"][0].__setitem__("monomial", "1"), "images[0].monomial"),
+        (lambda d: d["images"][0].__setitem__("monomial", 1), "images[0].monomial"),
+        (lambda d: d["images"][0].__setitem__("monomial", [1.5]), "images[0].monomial[0]"),
+        (lambda d: d["images"][0].__setitem__("monomial", ["0"]), "images[0].monomial[0]"),
+        (lambda d: d["images"][0].__setitem__("monomial", [True]), "images[0].monomial[0]"),
     ], ids=["images_int", "target_lift_int", "target_lift_entry_int", "target_lift_string",
-            "image_h_list", "source_ring_float", "target_ring_bool", "top_level_list"])
+            "image_h_list", "source_ring_float", "target_ring_bool", "top_level_list",
+            "image_c_float", "image_c_bool", "image_c_string", "image_monomial_string",
+            "image_monomial_int", "image_monomial_entry_float", "image_monomial_entry_string",
+            "image_monomial_entry_bool"])
     def test_malformed_map_exit_2(self, fixture_dir, capsys, tmp_path, edit, where):
         doc = json.loads((fixture_dir / "map_rescale2_p5n1.json").read_text())
         path = tmp_path / "malformed_map.json"
@@ -201,6 +214,74 @@ class TestPullback:
                              "--map", str(path), "--format", "json")
         assert code == 2 and not out
         assert err.startswith(f"error: {where}:") and "Traceback" not in err
+
+
+class TestParserReuse:
+    """main() builds its parser on the first call and reuses it for every later call."""
+
+    def test_many_calls_build_the_parser_once(self, fixture_dir, capsys, monkeypatch):
+        import logff.cli as cli
+
+        builds = []
+        real_build = cli.build_parser
+
+        def counting():
+            builds.append(1)
+            return real_build()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        monkeypatch.setattr(cli, "_parser", None)
+        path = str(fixture_dir / "nil2_p5n1.json")
+        codes = [run(capsys, "check", path, "--format", "json")[0] for _ in range(3)]
+        codes.append(run(capsys, "glue", path, "Phi", "Psi")[0])
+        codes.append(run(capsys, "coeffs", "--max", "1")[0])
+        assert codes == [0] * 5
+        assert len(builds) == 1
+
+    def test_options_do_not_carry_over(self, fixture_dir, capsys):
+        path = str(fixture_dir / "nil2_p5n1.json")
+        code, out, _ = run(capsys, "glue", path, "Phi", "Psi", "--third", "Chi",
+                           "--format", "json")
+        assert code == 0 and "cocycle" in json.loads(out)["verdicts"]
+        code, out, _ = run(capsys, "glue", path, "Phi", "Psi", "--format", "json")
+        doc = json.loads(out)
+        assert code == 0
+        assert doc["lifts"] == ["Phi", "Psi"] and "cocycle" not in doc["verdicts"]
+
+        wide = str(fixture_dir / "wide_p3n2.json")
+        code, out, _ = run(capsys, "check", wide, "--mode", "wide-range", "--format", "json")
+        assert code == 0 and json.loads(out)["mode"] == "wide-range"
+        code, out, _ = run(capsys, "check", path, "--format", "json")
+        assert code == 0 and json.loads(out)["mode"] == "strict"
+        code, out, _ = run(capsys, "check", path)
+        assert code == 0 and "mode: strict" in out
+
+    @pytest.mark.parametrize("bad", [["check"], ["check", "x.json", "--mode", "loose"],
+                                     ["frobnicate"], []])
+    def test_bad_command_line_then_good_call(self, fixture_dir, capsys, bad):
+        with pytest.raises(SystemExit) as info:
+            main(bad)
+        assert info.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: logff")
+        code, _, _ = run(capsys, "check", str(fixture_dir / "nil2_p5n1.json"))
+        assert code == 0
+
+    def test_patched_handler_runs(self, fixture_dir, capsys, monkeypatch):
+        import logff.cli as cli
+
+        path = str(fixture_dir / "nil2_p5n1.json")
+        assert run(capsys, "check", path)[0] == 0
+        seen = []
+
+        def patched(args):
+            seen.append((args.command, args.file, args.mode))
+            return 7
+
+        monkeypatch.setattr(cli, "cmd_check", patched)
+        assert run(capsys, "check", path)[0] == 7
+        assert seen == [("check", path, "strict")]
+        monkeypatch.undo()
+        assert run(capsys, "check", path)[0] == 0
 
 
 class TestCoeffs:

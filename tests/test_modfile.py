@@ -5,7 +5,7 @@ import pytest
 from logff.exprparse import ParseError
 from logff.ffmodule import InvariantViolationError
 from logff.fixtures import mixed_torsion, nil2, rank3_chain
-from logff.logring import FrobLift, RingElem
+from logff.logring import FrobLift, IllegalMapError, RingElem
 from logff.modfile import (
     map_to_dict,
     module_to_dict,
@@ -128,3 +128,31 @@ def test_earlier_refusals_keep_their_message(edit, message):
     with pytest.raises(InvariantViolationError) as info:
         parse_module_file(json.dumps(doc))
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("edit,error,message", [
+    # a map document whose image fields are integers keeps its message
+    (lambda d: d["images"][0].pop("c"), InvariantViolationError, "map_image: 'c'"),
+    (lambda d: d["images"][0].pop("monomial"), InvariantViolationError, "map_image: 'monomial'"),
+    (lambda d: d["images"].__setitem__(0, 0), InvariantViolationError,
+     "map_image: 'int' object is not subscriptable"),
+    (lambda d: d["images"][0].__setitem__("c", 5), IllegalMapError,
+     "constant of image 1 is not a unit"),
+    (lambda d: d["images"][0].__setitem__("monomial", [1, 0]), IllegalMapError,
+     "image 1: exponent vector has wrong length"),
+    (lambda d: d["images"][0].__setitem__("monomial", [-1]), IllegalMapError,
+     "image 1: negative exponent on a target divisor slot"),
+])
+def test_integer_map_refusals_keep_their_message(fixture_dir, edit, error, message):
+    doc = json.loads((fixture_dir / "map_rescale2_p5n1.json").read_text())
+    edit(doc)
+    with pytest.raises(error) as info:
+        parse_map_file(json.dumps(doc))
+    assert str(info.value) == message
+
+
+def test_integer_map_fields_are_read_as_given(fixture_dir):
+    doc = json.loads((fixture_dir / "map_rescale2_p5n1.json").read_text())
+    doc["images"][0]["c"] = -3
+    ring_map, _ = parse_map_file(json.dumps(doc))
+    assert ring_map.images[0][:2] == (2, (1,))
