@@ -70,21 +70,29 @@ def _canonical_rows(mat: Matrix, torsions: list[int]) -> Matrix:
 
 
 class GlueCache:
-    """Gluing work a module reuses across its own shell sums (transport._glue_columns).
+    """Gluing work a module reuses across its own shell sums (transport._glue_columns)
+    and its horizontality checks.
 
-    Each entry depends only on the module, or on the module and one pair of
-    maps, so no result depends on the order of calls.  The size is bounded:
-    one operator memo per (mode, basis index), each holding at most one
-    vector per index below stop_shell; the last DividedCoeffs with its key;
-    and whether the module passed the flatness and Griffiths gate (a failure
-    is never remembered, so a failing module raises on every call).
+    Each entry depends only on the module, or on the module and one lift or
+    pair of maps, so no result depends on the order of calls.  The size is
+    bounded: one operator memo per (mode, basis index), each holding at most
+    one vector per index below stop_shell; the last DividedCoeffs with its
+    key; the divided connections (divided_connection) of at most
+    MAX_DIVIDED lifts, the oldest dropped first; and whether the module
+    passed the flatness and Griffiths gate.  A failure is never remembered:
+    a failing gate or a NonIntegralError of divided_connection raises on
+    every call.
     """
+
+    # a module file names a handful of lifts (every shipped one at most four)
+    MAX_DIVIDED = 8
 
     def __init__(self):
         self.operator_memos: dict = {}     # (mode, k) -> {index: vector}
         # ((g1, g2, mode), DividedCoeffs) as one tuple, so that a sweep running
         # concurrently on this module never pairs a key with another engine
         self.coeffs = None
+        self.divided: dict = {}            # the lift's RingMap -> divided connection
         self.valid_for_glue = False
 
 
@@ -313,10 +321,26 @@ def divided_connection(module: LogFFModule, lift: FrobLift | None = None) -> lis
     the twisted side passing through Phi, and the below-level-a convention
     [x]_i = p^(a-i) [x]_a.  Under Griffiths transversality every p-exponent
     that appears is nonnegative; a negative one raises NonIntegralError.
+
+    The result is memoized per lift in the module's GlueCache; a lift is
+    identified by its ring map, so equal lifts share one entry.
     """
     lift = lift if lift is not None else module.lift
     if lift.spec != module.spec:
         raise SpecMismatchError("lift over the wrong spec")
+    memo = module._glue_cache.divided
+    key = lift.as_ring_map()
+    got = memo.get(key)
+    if got is None:
+        got = _divided_connection(module, lift)
+        if len(memo) >= GlueCache.MAX_DIVIDED:
+            memo.pop(next(iter(memo)), None)
+        memo[key] = got
+    return list(got)
+
+
+def _divided_connection(module: LogFFModule, lift: FrobLift) -> list[Matrix]:
+    """divided_connection without the module's memo."""
     spec = module.spec
     p, d, r = spec.p, spec.d, module.rank
     levels = module.levels

@@ -222,6 +222,11 @@ class RingElem:
 
     def __add__(self, other: "RingElem") -> "RingElem":
         self._check(other)
+        # elements are immutable, so a zero summand hands back the other operand
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         out = dict(self.terms)
         q = self.spec.q
         for exps, c in other.terms.items():
@@ -245,17 +250,18 @@ class RingElem:
         self._check(other)
         q = self.spec.q
         out: dict[tuple[int, ...], int] = {}
+        right = other.terms.items()
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+            for e2, c2 in right:
                 c = c1 * c2 % q
-                if c == 0:
-                    continue
-                e = tuple(map(add, e1, e2))
-                r = (out.get(e, 0) + c) % q
-                if r:
-                    out[e] = r
-                else:
-                    out.pop(e, None)
+                if c:
+                    e = tuple(map(add, e1, e2))
+                    if e in out:
+                        c = (out[e] + c) % q
+                        if not c:
+                            del out[e]
+                            continue
+                    out[e] = c
         return RingElem._trusted(self.spec, out)
 
     __rmul__ = __mul__
@@ -420,6 +426,11 @@ class RingMap:
     The structured (c, E, h) form is kept because ratios f(T_j)/g(T_j) of two
     such maps with equal monomial parts are honest units, which is what the
     divided-power Taylor machinery needs.
+
+    A map is immutable.  It memoizes what it derives from itself: the inverses
+    of its slot images, and its copies at other precisions (`with_precision`
+    builds each precision once per map and returns the map itself at its own
+    precision).
     """
 
     def __init__(self, source: RingSpec, target: RingSpec,
@@ -449,6 +460,7 @@ class RingMap:
         self.images = norm
         self._elems = [self._assemble(c, exps, h) for c, exps, h in norm]
         self._inv_elems: dict[int, RingElem] = {}
+        self._at_precision: dict[int, RingMap] = {}
 
     def _assemble(self, c, exps, h):
         one_plus = RingElem.one(self.target) + h.scale(self.target.p)
@@ -518,9 +530,16 @@ class RingMap:
         return RingMap(self.source, g.target, images)
 
     def with_precision(self, n: int) -> "RingMap":
-        src = self.source.with_precision(n)
-        tgt = self.target.with_precision(n)
-        return RingMap(src, tgt, [(c, e, h.with_spec(tgt)) for c, e, h in self.images])
+        """The same images read at precision n (canonical lifts when raising)."""
+        if n == self.source.n:
+            return self
+        got = self._at_precision.get(n)
+        if got is None:
+            src = self.source.with_precision(n)
+            tgt = self.target.with_precision(n)
+            got = RingMap(src, tgt, [(c, e, h.with_spec(tgt)) for c, e, h in self.images])
+            self._at_precision[n] = got
+        return got
 
     def __eq__(self, other):
         if not isinstance(other, RingMap):

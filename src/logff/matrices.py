@@ -60,19 +60,30 @@ class Matrix:
         return self.map_entries(lambda x: -x)
 
     def __mul__(self, other):
+        """Matrix product, or scaling by a ring element or an integer.
+
+        Products with a zero factor are skipped.  The spec of the other
+        matrix is checked once up front, so a mismatch raises even when
+        every product would be skipped.
+        """
         if isinstance(other, Matrix):
             if self.ncols != other.nrows:
                 raise ValueError("shape mismatch")
-            cols = other.ncols
+            if other.spec != self.spec:
+                raise SpecMismatchError(f"{self.spec} vs {other.spec}")
+            zero = RingElem.zero(self.spec)
             out = []
-            for i in range(self.nrows):
-                row = []
-                for k in range(cols):
-                    acc = RingElem.zero(self.spec)
-                    for m in range(self.ncols):
-                        acc = acc + self.rows[i][m] * other.rows[m][k]
-                    row.append(acc)
-                out.append(row)
+            for row in self.rows:
+                pairs = [(a, other.rows[m]) for m, a in enumerate(row) if a.terms]
+                out_row = []
+                for k in range(other.ncols):
+                    acc = zero
+                    for a, brow in pairs:
+                        b = brow[k]
+                        if b.terms:
+                            acc = acc + a * b
+                    out_row.append(acc)
+                out.append(out_row)
             return Matrix(self.spec, out)
         return self.scale(other)
 
@@ -82,11 +93,23 @@ class Matrix:
         return self.map_entries(lambda x: x * c)
 
     def mul_vec(self, vec: list[RingElem]) -> list[RingElem]:
+        """The matrix applied to a coefficient vector, skipping zero factors.
+
+        Every vector entry's spec is checked up front, zero or not.
+        """
+        spec = self.spec
+        for v in vec:
+            if v.spec is not spec and v.spec != spec:
+                raise SpecMismatchError(f"{spec} vs {v.spec}")
+        support = [(m, v) for m, v in enumerate(vec) if v.terms]
+        zero = RingElem.zero(spec)
         out = []
-        for i in range(self.nrows):
-            acc = RingElem.zero(self.spec)
-            for m, v in enumerate(vec):
-                acc = acc + self.rows[i][m] * v
+        for row in self.rows:
+            acc = zero
+            for m, v in support:
+                a = row[m]
+                if a.terms:
+                    acc = acc + a * v
             out.append(acc)
         return out
 

@@ -103,6 +103,7 @@ def _glue_columns(module: LogFFModule, g1: RingMap, g2: RingMap,
     levels = module.levels
     connection = list(module.connection)
     basis = [module.basis_vector(k) for k in range(module.rank)]
+    shells = [tuple(multi_indices(module.spec.d, c)) for c in range(coeffs.stop)]
     columns = []
     for i, vec in vectors:
         if vec in basis:
@@ -110,10 +111,10 @@ def _glue_columns(module: LogFFModule, g1: RingMap, g2: RingMap,
         else:
             memo = {}
         out = [RingElem.zero(target) for _ in range(module.rank)]
-        for c in range(coeffs.stop):
+        for c, shell in enumerate(shells):
             p_exp = min(i - a, c)
             lvl = max(a, i - c)
-            for index in multi_indices(module.spec.d, c):
+            for index in shell:
                 w = memo.get(index)
                 if w is None:
                     w = op(connection, vec, index, memo=memo)

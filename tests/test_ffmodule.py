@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from logff.ffcoeff import multi_structure_constants
 from logff.ffmodule import (
     BasisVector,
     ElementNotInFilError,
+    GlueCache,
     InvariantViolationError,
     LogFFModule,
     MorphismData,
@@ -36,6 +38,7 @@ from logff.fixtures import (
 )
 from logff.logring import FrobLift, RingElem, RingSpec, multi_indices, stop_shell
 from logff.matrices import Matrix
+from logff.modfile import parse_module_file
 from logff.transport import transport
 
 
@@ -113,6 +116,13 @@ class TestTilde:
                     assert le.eq_mod(ri, v.torsion), name
 
 
+def _divided_or_error(mod, lift):
+    try:
+        return divided_connection(mod, lift)
+    except NonIntegralError:
+        return NonIntegralError
+
+
 class TestDividedConnection:
     def test_nil2_standard_lift(self):
         mod = nil2(5, 2)
@@ -142,8 +152,49 @@ class TestDividedConnection:
                           [BasisVector("e0", 0, 1), BasisVector("e1", 2, 1)],
                           [_nilmat(spec)], FrobLift.standard(spec),
                           Matrix.identity(spec, 2))
-        with pytest.raises(NonIntegralError):
-            divided_connection(mod)
+        for _ in range(3):   # a failure is never memoized
+            with pytest.raises(NonIntegralError):
+                divided_connection(mod)
+        assert mod._glue_cache.divided == {}
+
+    def test_memo_equals_an_uncached_computation_on_every_fixture(self, fixture_dir):
+        files = refused = 0
+        for path in sorted(fixture_dir.glob("*.json")):
+            text = path.read_text()
+            try:
+                doc = json.loads(text)
+            except json.JSONDecodeError:
+                continue
+            if "lifts" not in doc:
+                continue   # a map file
+            files += 1
+            # the wide-range flag only lifts the weight-width cap, which wide_p3n2 needs
+            mod, lifts = parse_module_file(text, wide_range=True)
+            integral = set()
+            for name in sorted(lifts) + [None]:
+                lift = lifts[name] if name else mod.lift
+                cached = [_divided_or_error(mod, lift) for _ in range(2)]
+                if cached[0] is NonIntegralError:
+                    refused += 1
+                else:
+                    cached[0].clear()   # the caller gets a list of its own
+                    integral.add(lift.as_ring_map())
+                fresh, fresh_lifts = parse_module_file(text, wide_range=True)
+                assert fresh._glue_cache.divided == {}
+                uncached = _divided_or_error(fresh, fresh_lifts[name] if name else fresh.lift)
+                assert _divided_or_error(mod, lift) == cached[1] == uncached, (path.name, name)
+            assert mod._glue_cache.divided.keys() == integral
+        assert files == 11 and refused > 0   # bad_griffiths is not integral
+
+    def test_memo_keeps_the_newest_lifts_up_to_its_bound(self):
+        mod = nil2(5, 2, d=2, s=1)
+        rng = random.Random(12)
+        lifts = [random_lift(rng, mod.spec) for _ in range(GlueCache.MAX_DIVIDED + 2)]
+        results = [divided_connection(mod, lift) for lift in lifts]
+        assert list(mod._glue_cache.divided) == [lift.as_ring_map() for lift in lifts[2:]]
+        assert results == [divided_connection(nil2(5, 2, d=2, s=1), lift) for lift in lifts]
+        assert divided_connection(mod, lifts[0]) == results[0]
+        assert len(mod._glue_cache.divided) == GlueCache.MAX_DIVIDED
 
 
 class TestHorizontal:

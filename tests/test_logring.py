@@ -216,6 +216,28 @@ class TestRingMap:
         assert f != other and len({f, other}) == 2
         assert f != f.with_precision(3) and len({f, f.with_precision(3)}) == 2
 
+    def test_with_precision_is_memoized_on_the_map(self):
+        rng = random.Random(49)
+        spec = RingSpec(5, 2, 2, 1)
+        f = RingMap(spec, spec, [(2, (1, 0), random_elem(rng, spec)),
+                                 (3, (0, -1), random_elem(rng, spec))])
+        assert f.with_precision(2) is f
+        for n in (1, 3, 6):
+            got = f.with_precision(n)
+            assert got is f.with_precision(n)
+            fresh = _rebuilt(f, n)
+            assert got == fresh and hash(got) == hash(fresh)
+            for _ in range(10):
+                r = random_elem(rng, got.source)
+                assert got.apply(r) == fresh.apply(r)
+
+
+def _rebuilt(f, n):
+    """f read at precision n, built by the constructor: no memo involved."""
+    tgt = f.target.with_precision(n)
+    return RingMap(f.source.with_precision(n), tgt,
+                   [(c, e, h.with_spec(tgt)) for c, e, h in f.images])
+
 
 class TestLocalize:
     def test_examples(self):
@@ -494,6 +516,43 @@ def test_divided_coeffs_non_integral_on_both_paths():
         engine.coeff((1, 0), 2)
     assert ((1, 0), 2) not in engine._coeffs
     assert engine.coeff((1, 0), 1) == reference.coeff((1, 0), 1) == RingElem.one(engine.base_spec)
+
+
+def _result_or_error(call, *args):
+    try:
+        return call(*args)
+    except (NonIntegralError, WorkingPrecisionError, LiftMismatchError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("p,n,d,s", [(5, 2, 2, 1), (3, 3, 2, 0), (7, 2, 1, 1)])
+def test_divided_coeffs_from_memoized_and_fresh_maps_agree(p, n, d, s):
+    """DividedCoeffs reads its maps at the working precision through the
+    with_precision memo; engines built on fresh maps give the same
+    coefficients and raise the same errors, beyond the working precision too."""
+    spec = RingSpec(p, n, d, s)
+    rng = random.Random(f"memo:{p},{n},{d},{s}")
+    g1, g2 = random_lift(rng, spec).as_ring_map(), random_lift(rng, spec).as_ring_map()
+    width = min(2, p - 2)
+    first = DividedCoeffs(g1, g2, width)
+    memoized = DividedCoeffs(g1, g2, width)
+    assert g1.with_precision(first.work_n) is g1.with_precision(first.work_n)
+    fresh = DividedCoeffs(_rebuilt(g1, n), _rebuilt(g2, n), width)
+    raised = set()
+    for c in range(fresh.stop):
+        for index in multi_indices(d, c):
+            for e in range(fresh.work_n - fresh.n + 2):
+                want = _result_or_error(fresh.coeff, index, e)
+                assert _result_or_error(memoized.coeff, index, e) == want, (index, e)
+                if isinstance(want, tuple):
+                    raised.add(want[0])
+    assert raised == {NonIntegralError, WorkingPrecisionError}
+    # a map that does not agree with g2 mod p is refused alike
+    c, exps, h = g1.images[0]
+    other = RingMap(spec, spec, [(c + 1, exps, h)] + g1.images[1:])
+    errors = [_result_or_error(DividedCoeffs, f, g2, width) for f in (other, other)]
+    errors.append(_result_or_error(DividedCoeffs, _rebuilt(other, n), g2, width))
+    assert errors[0][0] is LiftMismatchError and errors.count(errors[0]) == 3
 
 
 @pytest.mark.parametrize("p,n,d,s", [(5, 2, 2, 0), (5, 3, 2, 1), (3, 3, 2, 1),

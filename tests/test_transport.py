@@ -450,8 +450,10 @@ class TestGlueCache:
         rng = random.Random(5)
         l1, l2 = random_lift(rng, mod.spec), random_lift(rng, mod.spec)
         assert check_glue_cocycle(mod, l1, l2, mod.lift)
+        assert check_glue_horizontal(mod, l1, l2)
         cache = mod._glue_cache
         assert cache.operator_memos and cache.coeffs is not None and cache.valid_for_glue
+        assert cache.divided
         f = RingMap(mod.spec, mod.spec,
                     [(1, (1, 0), RingElem.variable(mod.spec, 1)),
                      (1, (0, 1), RingElem.zero(mod.spec))])
@@ -460,7 +462,8 @@ class TestGlueCache:
         for other in derived:
             empty = other._glue_cache
             assert empty is not cache
-            assert (empty.operator_memos, empty.coeffs, empty.valid_for_glue) == ({}, None, False)
+            assert (empty.operator_memos, empty.coeffs, empty.divided, empty.valid_for_glue) \
+                == ({}, None, {}, False)
 
     def test_failing_gate_raises_on_every_call(self, fixture_dir):
         text = (fixture_dir / "bad_flat_p5n2.json").read_text()
