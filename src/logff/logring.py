@@ -10,7 +10,8 @@ logarithmic Taylor formula.
 Internally the 1-form frame is dlog T_j = dT_j/T_j for every slot, with dual
 derivations delta_j = T_j d/dT_j; non-divisor slots are Laurent so this loses
 nothing.  Divided coefficients such as (Phi(T)/Psi(T)-1)^I / I! are computed
-at a raised working precision; each coefficient is then divided by the
+at a raised precision, each power only as far as its own division reads and
+never beyond the working precision; each coefficient is then divided by the
 power of p in I! * p^e with a checked integer division (a nonzero remainder
 raises `exactnum.NonIntegralError`) and multiplied by the inverse of the
 unit part of I!, which `exactnum.reduce_mod` supplies.  So every division
@@ -79,6 +80,9 @@ class RingSpec:
         return self.p ** self.n
 
     def with_precision(self, n: int) -> "RingSpec":
+        """The spec at precision n; the spec itself at its own precision (it is frozen)."""
+        if n == self.n:
+            return self
         return RingSpec(self.p, n, self.d, self.s)
 
     def localized(self) -> "RingSpec":
@@ -643,11 +647,13 @@ def multi_factorial(index: tuple[int, ...]) -> int:
 
 
 def work_precision(p: int, base_n: int, width: int) -> int:
-    """Working precision for divided-coefficient sums reduced into Z/p^base_n.
+    """The ceiling work_n of the precision for divided coefficients reduced into Z/p^base_n.
 
     Every division removes at most width + v_p(I!) powers of p beyond those
     guaranteed in the numerator, and v_p(I!) over the computed shells is
-    bounded by stop_shell // (p - 1).
+    bounded by stop_shell // (p - 1).  work_n bounds what any one coefficient
+    may need; `DividedCoeffs` keeps each numerator only to the precision its
+    own division reads, which is at most work_n.
     """
     return base_n + width + stop_shell(p, base_n, width) // (p - 1) + 1
 
@@ -657,9 +663,20 @@ class DividedCoeffs:
 
     g1 and g2 must be unit-monomial maps with identical monomial parts that
     agree mod p (LiftMismatchError otherwise).  The powers x^I are accumulated
-    at a raised working precision, and each requested coefficient is divided
-    exactly and reduced into the base precision; a division that is not
-    p-integral raises NonIntegralError.
+    at a raised precision, and each requested coefficient is divided exactly
+    and reduced into the base precision; a division that is not p-integral
+    raises NonIntegralError.
+
+    Each power is kept only to the precision its division reads.  With
+    v = p_exponent + v_p(I!), a numerator known mod p^(n+v) determines both
+    its remainder mod p^v, which the NonIntegralError check reads, and its
+    quotient by p^v mod p^n, which is the coefficient; so `coeff` asks for
+    x^I mod p^(n+v), and WorkingPrecisionError fires once n + v > work_n.
+    Every x_j is divisible by p, so x^(I - e_j) mod p^(m-1) determines
+    x^I mod p^m, and `_power` builds the trie chain of x^I with the
+    precision falling by one per step.  No division is skipped and no
+    comparison relaxed: every term of every requested coefficient is still
+    divided and checked.
 
     With mode="difference" the base quantity is x_j = g1(T_j) - g2(T_j)
     instead of the ratio minus one; this is the coefficient stream of the
@@ -701,7 +718,6 @@ class DividedCoeffs:
         g1w = g1.with_precision(self.work_n)
         g2w = g2.with_precision(self.work_n)
         one = RingElem.one(wspec)
-        self._work_q = wspec.q
         # p^k -> k for k < work_n: the valuation of a residue c in [1, p^work_n)
         # is read off gcd(c, p^work_n)
         self._valuation_of = {p ** k: k for k in range(self.work_n)}
@@ -727,8 +743,11 @@ class DividedCoeffs:
         self._half = top * self._cap + 1
         self._base = 2 * self._half + 1
         self._radix = [self._base ** j for j in range(d)]
-        self._x = [self._graded({self._pack(e): c for e, c in xj.terms.items()}) for xj in xs]
-        self._powers: dict[tuple[int, ...], dict] = {(0,) * d: self._graded({0: 1})}
+        self._x = [self._graded({self._pack(e): c for e, c in xj.terms.items()}, self.work_n)
+                   for xj in xs]
+        # index -> (m, x^I mod p^m in graded form); m never exceeds work_n
+        self._powers: dict[tuple[int, ...], tuple[int, dict]] = {
+            (0,) * d: (self.work_n, self._graded({0: 1}, self.work_n))}
         self._coeffs: dict[tuple[tuple[int, ...], int], RingElem] = {}
 
     def _pack(self, exps: tuple[int, ...]) -> int:
@@ -743,13 +762,13 @@ class DividedCoeffs:
             key = (key - digit) // base
         return tuple(digits)
 
-    def _graded(self, terms: dict[int, int]) -> dict:
-        """Residues mod p^work_n grouped by exact p-adic valuation.
+    def _graded(self, terms: dict[int, int], prec: int) -> dict:
+        """Residues mod p^prec (1 <= prec <= work_n) grouped by exact p-adic valuation.
 
         Maps v to a pair of parallel lists (packed exponent keys,
         coefficients); zero residues are dropped.
         """
-        q = self._work_q
+        q = self.p ** prec
         valuation_of = self._valuation_of
         out: dict[int, tuple[list, list]] = {}
         for e, c in terms.items():
@@ -763,47 +782,60 @@ class DividedCoeffs:
                 bucket[1].append(c)
         return out
 
-    def _power(self, index: tuple[int, ...]) -> dict:
-        """x^I mod p^work_n in graded form (see _graded), memoized along the index trie.
+    def _power(self, index: tuple[int, ...], prec: int | None = None) -> dict:
+        """x^I mod p^prec in graded form (see _graded), memoized along the index trie.
 
-        Every x_j is divisible by p, so most coefficient pairs of a product
-        x^{I - e_j} * x_j have valuation v1 + v2 >= work_n and vanish; the
-        grading skips such a bucket pair without touching its terms, and the
-        raw products are reduced mod p^work_n once per output term.  The
-        grading and the packed keys are private to DividedCoeffs for the same
-        reason: they pay off over the long chains of products along the index
-        trie, and for the small one-shot products of RingElem.__mul__ they
-        would cost more than they save.
+        prec defaults to work_n, the ceiling; `coeff` asks for less.  Every
+        x_j is divisible by p, so x^(I - e_j) mod p^(prec - 1) determines
+        x^I = x^(I - e_j) * x_j mod p^prec: the parent is computed only to
+        prec - 1, and x^I vanishes mod p^prec outright once |I| >= prec.
+        The memo records the precision each power holds; a request for more
+        recomputes the power and the part of its trie chain that falls short.
+
+        Most coefficient pairs of the product have valuation v1 + v2 >= prec
+        and vanish; the grading skips such a bucket pair without touching its
+        terms, and the raw products are reduced mod p^prec once per output
+        term.  The grading and the packed keys are private to DividedCoeffs
+        for the same reason: they pay off over the long chains of products
+        along the index trie, and for the small one-shot products of
+        RingElem.__mul__ they would cost more than they save.
         """
+        m = self.work_n if prec is None else prec
         got = self._powers.get(index)
-        if got is not None:
-            return got
-        if sum(index) > self._cap:
+        if got is not None and got[0] >= m:
+            return got[1]
+        size = sum(index)
+        if size > self._cap:
             raise WorkingPrecisionError(
                 f"x^{index} is beyond |I| <= {self._cap}, the largest index the "
                 f"packed exponent keys hold")
+        if size >= m:
+            return {}
         j0 = next(i for i, v in enumerate(index) if v)
         parent = list(index)
         parent[j0] -= 1
-        left = self._power(tuple(parent))
+        left = self._power(tuple(parent), m - 1)
         right = self._x[j0]
-        work_n = self.work_n
         acc: defaultdict[int, int] = defaultdict(int)
         for v1, (keys1, coeffs1) in left.items():
             for v2, (keys2, coeffs2) in right.items():
-                if v1 + v2 >= work_n:
+                if v1 + v2 >= m:
                     continue
                 for k1, c1 in zip(keys1, coeffs1):
                     for k2, c2 in zip(keys2, coeffs2):
                         acc[k1 + k2] += c1 * c2
-        out = self._graded(acc)
-        self._powers[index] = out
+        out = self._graded(acc, m)
+        self._powers[index] = (m, out)
         return out
 
     def coeff(self, index: tuple[int, ...], p_exponent: int) -> RingElem:
         """x^I / (I! * p^p_exponent) as an element mod p^n.
 
-        Each (index, p_exponent) is divided once; later requests reuse it.
+        With v = p_exponent + v_p(I!), x^I is read mod p^(n+v): its remainder
+        mod p^v is checked (NonIntegralError if nonzero) and its quotient by
+        p^v, taken mod p^n, is the coefficient.  A power memoized at a higher
+        precision serves as well.  Each (index, p_exponent) is divided once;
+        later requests reuse it.
         """
         key = (index, p_exponent)
         got = self._coeffs.get(key)
@@ -821,7 +853,7 @@ class DividedCoeffs:
         q = self.base_spec.q
         unpack = self._unpack
         out = {}
-        for w, (keys, coeffs) in self._power(index).items():
+        for w, (keys, coeffs) in self._power(index, n + v).items():
             if w >= v + n:
                 continue   # divisible by p^(v+n): the quotient vanishes mod p^n
             for k, c in zip(keys, coeffs):

@@ -21,7 +21,7 @@ from logff.logring import (
     stop_shell,
     taylor_residual,
 )
-from logff.fixtures import random_elem, random_lift
+from logff.fixtures import random_elem, random_lift, rank3_chain
 
 
 def T(spec, j=1, power=1):
@@ -230,6 +230,26 @@ class TestRingMap:
             for _ in range(10):
                 r = random_elem(rng, got.source)
                 assert got.apply(r) == fresh.apply(r)
+
+
+def test_spec_with_precision_is_the_spec_itself_at_its_own_precision(monkeypatch):
+    import logff.logring as logring
+    spec = RingSpec(7, 3, 2, 1)
+    calls = []
+    real = logring._is_prime
+    monkeypatch.setattr(logring, "_is_prime", lambda m: calls.append(m) or real(m))
+    assert spec.with_precision(3) is spec
+    assert calls == []   # no new spec, so no second primality test
+    other = spec.with_precision(5)
+    assert calls == [7]
+    assert other is not spec and other == RingSpec(7, 5, 2, 1)
+    assert other.with_precision(5) is other
+    assert other.with_precision(3) == spec and other.with_precision(3) is not spec
+    # divided coefficients live on the maps' target spec itself, not on an equal copy
+    lift = random_lift(random.Random("spec-identity"), spec)
+    engine = DividedCoeffs(lift.as_ring_map(), FrobLift.standard(spec).as_ring_map(), width=0)
+    assert engine.base_spec is spec
+    assert engine.coeff((1, 0), 0).spec is spec
 
 
 def _rebuilt(f, n):
@@ -643,6 +663,139 @@ def test_pack_round_trip_exhaustive_at_half_width_one():
     engine = DividedCoeffs(l1.as_ring_map(), FrobLift.standard(spec).as_ring_map(), width=0)
     assert engine._half == 1
     assert len(_round_trip(engine, (-1, 0, 1), 3)) == 27
+
+
+# -- powers kept only to the precision their division reads ---------------------
+
+
+def _needed(engine, index, p_exponent):
+    """n + p_exponent + v_p(I!): the precision coeff(I, p_exponent) reads x^I at."""
+    return engine.n + p_exponent + sum(factorial_valp(i, engine.p) for i in index)
+
+
+def _checked(engine, index, p_exponent):
+    try:
+        return engine.coeff(index, p_exponent)
+    except (NonIntegralError, WorkingPrecisionError) as exc:
+        return type(exc)
+
+
+def _expected(engine, reference, index, p_exponent):
+    if _needed(engine, index, p_exponent) > engine.work_n:
+        return WorkingPrecisionError
+    return _outcome(reference, index, p_exponent)
+
+
+def _all_exponent_requests(engine, indices):
+    """Every (I, e) for I in indices and every e the working precision allows,
+    plus the first e beyond it."""
+    return [(index, e) for index in indices
+            for e in range(engine.work_n - _needed(engine, index, 0) + 2)]
+
+
+def _assert_memo_within_bounds(engine, reference, asked):
+    """Every memoized power, trie chains included, is x^I reduced mod p^m for
+    the m it records, and m <= work_n.  Every index in asked holds at least
+    the precision asked, or vanishes there (|I| >= m) and is not memoized."""
+    for index, (held, graded) in engine._powers.items():
+        assert held <= engine.work_n, index
+        q = engine.p ** held
+        want = {e: c % q for e, c in reference.power(index).terms.items() if c % q}
+        have = {engine._unpack(k): c for keys, coeffs in graded.values()
+                for k, c in zip(keys, coeffs)}
+        assert have == want, index
+    for index, m in asked.items():
+        got = engine._powers.get(index)
+        assert sum(index) >= m if got is None else got[0] >= m, index
+
+
+def _rank3_chain_maps(p, n, d, rng):
+    module = rank3_chain(p, n, d=d)
+    return random_lift(rng, module.spec).as_ring_map(), module.lift.as_ring_map()
+
+
+def _taylor_cell_maps(p, n, d, rng):
+    spec = RingSpec(p, n, d, d)
+    return random_lift(rng, spec).as_ring_map(), random_lift(rng, spec).as_ring_map()
+
+
+_PRECISION_CELLS = ([(_taylor_cell_maps, cell) for cell in [(5, 8, 2), (7, 6, 2), (3, 8, 2)]]
+                    + [(_rank3_chain_maps, cell)
+                       for cell in [(5, 2, 3), (7, 2, 3), (5, 3, 3), (7, 3, 3)]])
+
+
+@pytest.mark.parametrize("maps,cell", _PRECISION_CELLS,
+                         ids=[f"{maps.__name__[1:-5]}-{p},{n},{d}"
+                              for maps, (p, n, d) in _PRECISION_CELLS])
+def test_precision_tracked_powers_match_reference_on_shuffled_requests(maps, cell):
+    """Requests in random order reach a power at a low precision first and at a
+    higher one later, and the other way round: every answer and every refusal
+    equals the reference, which builds each power at work_n."""
+    p, n, d = cell
+    rng = random.Random(f"coeff-precision:{p},{n},{d}")
+    g1, g2 = maps(p, n, d, rng)
+    outcomes = set()
+    for width in range(3):
+        for mode in ("ratio", "difference"):
+            engine = DividedCoeffs(g1, g2, width=width, mode=mode)
+            reference = ReferenceCoeffs(g1, g2, width, mode=mode)
+            indices = [index for c in range(engine.stop) for index in multi_indices(d, c)]
+            requests = _all_exponent_requests(engine, rng.sample(indices, min(6, len(indices))))
+            rng.shuffle(requests)
+            asked = {}
+            for index, e in requests:
+                got = _checked(engine, index, e)
+                assert got == _expected(engine, reference, index, e), (width, mode, index, e)
+                outcomes.add(got if isinstance(got, type) else RingElem)
+                if got is not WorkingPrecisionError:
+                    asked[index] = max(asked.get(index, 0), _needed(engine, index, e))
+            _assert_memo_within_bounds(engine, reference, asked)
+    assert outcomes == {RingElem, NonIntegralError, WorkingPrecisionError}
+
+
+@pytest.mark.parametrize("maps,cell", [(_taylor_cell_maps, (3, 8, 2)),
+                                       (_rank3_chain_maps, (5, 3, 3))],
+                         ids=["taylor_cell-3,8,2", "rank3_chain-5,3,3"])
+def test_power_asked_again_at_a_higher_precision_is_recomputed(maps, cell):
+    """An index asked at p-exponent 0 and then at the largest p-exponent the
+    working precision allows gives what a fresh engine gives for the second
+    request alone, and its memo entry and those of its trie chain are raised."""
+    p, n, d = cell
+    g1, g2 = maps(p, n, d, random.Random(f"coeff-recompute:{p},{n},{d}"))
+    width = 2
+    engine = DividedCoeffs(g1, g2, width=width)
+    index = (engine.stop - 1,) + (0,) * (d - 1)
+    while _needed(engine, index, 0) <= sum(index):   # x^I must not vanish at e = 0
+        index = (index[0] - 1,) + index[1:]
+    top = engine.work_n - _needed(engine, index, 0)
+    assert top > 0
+    reference = ReferenceCoeffs(g1, g2, width)
+    low = _checked(engine, index, 0)
+    assert engine._powers[index][0] == _needed(engine, index, 0) < engine.work_n
+    _assert_memo_within_bounds(engine, reference, {index: _needed(engine, index, 0)})
+    high = _checked(engine, index, top)
+    assert engine._powers[index][0] == engine.work_n
+    chain = [(k,) + (0,) * (d - 1) for k in range(index[0])]
+    assert all(engine._powers[parent][0] >= engine.work_n - index[0] + k
+               for k, parent in enumerate(chain))
+    fresh = DividedCoeffs(g1, g2, width=width)
+    assert high == _checked(fresh, index, top)
+    assert low == _checked(DividedCoeffs(g1, g2, width=width), index, 0)
+    assert (low, high) == (_outcome(reference, index, 0), _outcome(reference, index, top))
+    _assert_memo_within_bounds(engine, reference, {index: engine.work_n})
+
+
+def test_power_without_a_precision_is_at_work_n():
+    spec = RingSpec(5, 3, 2, 2)
+    rng = random.Random("coeff-default-precision")
+    g1, g2 = (random_lift(rng, spec).as_ring_map() for _ in range(2))
+    engine = DividedCoeffs(g1, g2, width=1)
+    reference = ReferenceCoeffs(g1, g2, 1)
+    engine.coeff((1, 1), 0)
+    assert engine._powers[(1, 1)][0] == engine.n < engine.work_n
+    _assert_memo_within_bounds(engine, reference, {(1, 1): engine.n})
+    engine._power((1, 1))
+    _assert_memo_within_bounds(engine, reference, {(1, 1): engine.work_n})
 
 
 # -- the Taylor sum grouped by monomial against the per-index sum --------------
