@@ -23,7 +23,11 @@ of monomials is one integer addition; `RingElem` stays keyed by tuples.
 `taylor_residual` groups the Taylor sum by the monomials of r: since Psi is
 additive and delta^I acts diagonally on monomials,
 sum_I Psi(delta^I r) * x_I = sum_E Psi(T^E) * sum_I c_E falling(E, I) x_I,
-one product per term of r instead of one per index I.
+one product per term of r instead of one per index I.  Packed keys serve
+these closing products too, in a mixed radix taken from the exponent spans
+of the two operands (`_graded_product`): both operands are grouped by
+p-adic valuation, and the pairs of groups whose products all vanish mod p^n
+are skipped, with the same bucket-pair loop that `DividedCoeffs` uses.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import ceil, factorial, gcd
-from operator import add, mul
+from operator import add, mul, sub
 
 from .exactnum import NonIntegralError, factorial_valp, modinv, reduce_mod
 
@@ -364,23 +368,50 @@ class RingElem:
         return exps, c
 
     def invert_unit(self) -> "RingElem":
-        """Inverse of a unit c*T^E*(1 + p*z), via a finite geometric series mod p^n."""
+        """Inverse of a unit c*T^E*(1 + p*z), via a finite geometric series mod p^n.
+
+        With b = c^-1 T^-E the series is sum_k (-z)^k, z = self*b - 1; z is
+        divisible by p, so (-z)^n = 0 mod p^n, and the sum stops at step n - 1
+        or at the first zero term.  Each step is one pass on plain dicts: the
+        unreduced product term * (-z) is reduced mod p^n term by term and
+        folded into the sum as it goes.  The terms are those of the series
+        itself: no pair of terms is skipped, only residues = 0 mod p^n are
+        dropped, and no division changed (the only one is the inverse of the
+        unit c, as before).
+        """
         um = self.unit_monomial_mod_p()
         if um is None:
             raise ZeroDivisionError(f"not a unit of the ring: {self}")
         exps, _ = um
-        a = self.terms[exps]
-        base_inv = RingElem.monomial(self.spec, tuple(-e for e in exps), modinv(a, self.spec.q))
-        z = self * base_inv - RingElem.one(self.spec)
-        # z is divisible by p, so z^n = 0 mod p^n
-        out = RingElem.one(self.spec)
-        term = RingElem.one(self.spec)
-        for _ in range(1, self.spec.n):
-            term = -(term * z)
-            if term.is_zero():
+        spec = self.spec
+        q = spec.q
+        a_inv = modinv(self.terms[exps], q)
+        shift = tuple(-e for e in exps)
+        # -z = 1 - self*b: the term at exps becomes the 1 that cancels
+        neg_z = [(tuple(map(add, e, shift)), -c * a_inv % q)
+                 for e, c in self.terms.items() if e != exps]
+        const = (0,) * spec.d
+        out = {const: 1}
+        term = {const: 1}
+        for _ in range(1, spec.n):
+            raw: defaultdict[tuple[int, ...], int] = defaultdict(int)
+            for e1, c1 in term.items():
+                for e2, c2 in neg_z:
+                    raw[tuple(map(add, e1, e2))] += c1 * c2
+            term = {}
+            for e, c in raw.items():
+                c %= q
+                if c:
+                    term[e] = c
+                    s = (out.get(e, 0) + c) % q
+                    if s:
+                        out[e] = s
+                    else:
+                        del out[e]
+            if not term:
                 break
-            out = out + term
-        return out * base_inv
+        return RingElem._trusted(
+            spec, {tuple(map(add, e, shift)): c * a_inv % q for e, c in out.items()})
 
     def divisible_by_p(self, k: int = 1) -> bool:
         pk = self.spec.p ** k
@@ -497,7 +528,7 @@ class RingMap:
         return inv ** (-e)
 
     def apply(self, r: RingElem) -> RingElem:
-        if r.spec != self.source:
+        if r.spec is not self.source and r.spec != self.source:
             raise SpecMismatchError("element not in the source ring")
         out = RingElem.zero(self.target)
         for exps, c in r.terms.items():
@@ -658,6 +689,95 @@ def work_precision(p: int, base_n: int, width: int) -> int:
     return base_n + width + stop_shell(p, base_n, width) // (p - 1) + 1
 
 
+# -- valuation-graded products on packed keys -----------------------------------
+
+
+def _valuation_table(p: int, top: int) -> dict[int, int]:
+    """p^k -> k for k < top: the valuation of a residue c in [1, p^m), m <= top,
+    is read off gcd(c, p^m)."""
+    return {p ** k: k for k in range(top)}
+
+
+def _grade(terms: dict[int, int], q: int, valuation_of: dict[int, int]) -> dict:
+    """Residues mod q = p^m grouped by exact p-adic valuation.
+
+    Maps v to a pair of parallel lists (packed exponent keys, coefficients);
+    zero residues are dropped.  valuation_of must cover every k < m.
+    """
+    out: dict[int, tuple[list, list]] = {}
+    for e, c in terms.items():
+        c %= q
+        if c:
+            v = valuation_of[gcd(c, q)]
+            bucket = out.get(v)
+            if bucket is None:
+                bucket = out[v] = ([], [])
+            bucket[0].append(e)
+            bucket[1].append(c)
+    return out
+
+
+def _graded_sums(left: dict, right: dict, m: int) -> dict[int, int]:
+    """The unreduced product of two graded operands (see _grade) mod p^m.
+
+    Maps each sum of packed keys to the raw sum of its coefficient products.
+    A bucket pair with v1 + v2 >= m is skipped without touching its terms:
+    every product in it is divisible by p^m, so only pairs whose product is
+    = 0 mod p^m are left out, and the result agrees mod p^m with the full
+    product.
+    """
+    acc: dict[int, int] = {}
+    get = acc.get
+    right_terms = [(v2, list(zip(keys2, coeffs2))) for v2, (keys2, coeffs2) in right.items()]
+    for v1, (keys1, coeffs1) in left.items():
+        live = [term for v2, terms in right_terms if v1 + v2 < m for term in terms]
+        for k1, c1 in zip(keys1, coeffs1):
+            for k2, c2 in live:
+                k = k1 + k2
+                acc[k] = get(k, 0) + c1 * c2
+    return acc
+
+
+def _graded_product(a: RingElem, b: RingElem) -> RingElem:
+    """a * b, equal to RingElem.__mul__, without the term pairs that vanish mod p^n.
+
+    Both operands are packed into integers in a mixed radix taken from their
+    own exponent spans: slot j holds E_j - lo_j, lo_j the least exponent of
+    that operand in slot j, and has width span_j(a) + span_j(b) + 1.  The
+    digit of a sum of two keys then stays in [0, width), so no carry crosses
+    a slot and negative Laurent exponents pack like any other.  The
+    coefficients are graded by valuation and multiplied by `_graded_sums`;
+    each output key is reduced mod p^n and decoded once.
+    """
+    spec = a.spec
+    if not a.terms or not b.terms:
+        return RingElem._trusted(spec, {})
+    lo_a, lo_b = list(map(min, zip(*a.terms))), list(map(min, zip(*b.terms)))
+    widths = [ha - la + hb - lb + 1 for ha, la, hb, lb in zip(
+        map(max, zip(*a.terms)), lo_a, map(max, zip(*b.terms)), lo_b)]
+    radix = [1] * spec.d
+    for j in range(1, spec.d):
+        radix[j] = radix[j - 1] * widths[j - 1]
+    q = spec.q
+    valuation_of = _valuation_table(spec.p, spec.n)
+
+    def graded(x: RingElem, lo: list[int]) -> dict:
+        return _grade({sum(map(mul, map(sub, e, lo), radix)): c for e, c in x.terms.items()},
+                      q, valuation_of)
+
+    offsets = list(map(add, lo_a, lo_b))
+    out = {}
+    for key, c in _graded_sums(graded(a, lo_a), graded(b, lo_b), spec.n).items():
+        c %= q
+        if c:
+            exps = []
+            for width, offset in zip(widths, offsets):
+                key, digit = divmod(key, width)
+                exps.append(digit + offset)
+            out[tuple(exps)] = c
+    return RingElem._trusted(spec, out)
+
+
 class DividedCoeffs:
     """Divided coefficients (g1(T)/g2(T) - 1)^I / (I! * p^e) for a pair of maps.
 
@@ -718,9 +838,7 @@ class DividedCoeffs:
         g1w = g1.with_precision(self.work_n)
         g2w = g2.with_precision(self.work_n)
         one = RingElem.one(wspec)
-        # p^k -> k for k < work_n: the valuation of a residue c in [1, p^work_n)
-        # is read off gcd(c, p^work_n)
-        self._valuation_of = {p ** k: k for k in range(self.work_n)}
+        self._valuation_of = _valuation_table(p, self.work_n)
         xs = []
         for j in range(g1.source.d):
             if mode == "ratio":
@@ -749,6 +867,8 @@ class DividedCoeffs:
         self._powers: dict[tuple[int, ...], tuple[int, dict]] = {
             (0,) * d: (self.work_n, self._graded({0: 1}, self.work_n))}
         self._coeffs: dict[tuple[tuple[int, ...], int], RingElem] = {}
+        # packed key -> exponent tuple: each key is decoded once per engine
+        self._exps: dict[int, tuple[int, ...]] = {}
 
     def _pack(self, exps: tuple[int, ...]) -> int:
         return sum(map(mul, exps, self._radix))
@@ -763,24 +883,8 @@ class DividedCoeffs:
         return tuple(digits)
 
     def _graded(self, terms: dict[int, int], prec: int) -> dict:
-        """Residues mod p^prec (1 <= prec <= work_n) grouped by exact p-adic valuation.
-
-        Maps v to a pair of parallel lists (packed exponent keys,
-        coefficients); zero residues are dropped.
-        """
-        q = self.p ** prec
-        valuation_of = self._valuation_of
-        out: dict[int, tuple[list, list]] = {}
-        for e, c in terms.items():
-            c %= q
-            if c:
-                v = valuation_of[gcd(c, q)]
-                bucket = out.get(v)
-                if bucket is None:
-                    bucket = out[v] = ([], [])
-                bucket[0].append(e)
-                bucket[1].append(c)
-        return out
+        """Residues mod p^prec (1 <= prec <= work_n) grouped by exact p-adic valuation."""
+        return _grade(terms, self.p ** prec, self._valuation_of)
 
     def _power(self, index: tuple[int, ...], prec: int | None = None) -> dict:
         """x^I mod p^prec in graded form (see _graded), memoized along the index trie.
@@ -793,12 +897,12 @@ class DividedCoeffs:
         recomputes the power and the part of its trie chain that falls short.
 
         Most coefficient pairs of the product have valuation v1 + v2 >= prec
-        and vanish; the grading skips such a bucket pair without touching its
-        terms, and the raw products are reduced mod p^prec once per output
-        term.  The grading and the packed keys are private to DividedCoeffs
-        for the same reason: they pay off over the long chains of products
-        along the index trie, and for the small one-shot products of
-        RingElem.__mul__ they would cost more than they save.
+        and vanish; `_graded_sums` skips such a bucket pair without touching
+        its terms, and the raw products are reduced mod p^prec once per
+        output term.  The grading pays off over the long chains of products
+        along the index trie and over the large closing products of
+        `taylor_residual` (`_graded_product`); for the small one-shot
+        products of RingElem.__mul__ it would cost more than it saves.
         """
         m = self.work_n if prec is None else prec
         got = self._powers.get(index)
@@ -814,17 +918,7 @@ class DividedCoeffs:
         j0 = next(i for i, v in enumerate(index) if v)
         parent = list(index)
         parent[j0] -= 1
-        left = self._power(tuple(parent), m - 1)
-        right = self._x[j0]
-        acc: defaultdict[int, int] = defaultdict(int)
-        for v1, (keys1, coeffs1) in left.items():
-            for v2, (keys2, coeffs2) in right.items():
-                if v1 + v2 >= m:
-                    continue
-                for k1, c1 in zip(keys1, coeffs1):
-                    for k2, c2 in zip(keys2, coeffs2):
-                        acc[k1 + k2] += c1 * c2
-        out = self._graded(acc, m)
+        out = self._graded(_graded_sums(self._power(tuple(parent), m - 1), self._x[j0], m), m)
         self._powers[index] = (m, out)
         return out
 
@@ -851,7 +945,7 @@ class DividedCoeffs:
         # I! * p^e = p^v * unit; invert the unit once for the whole coefficient
         unit_inv = reduce_mod(Fraction(pv, multi_factorial(index) * p ** p_exponent), p, n)
         q = self.base_spec.q
-        unpack = self._unpack
+        decoded = self._exps
         out = {}
         for w, (keys, coeffs) in self._power(index, n + v).items():
             if w >= v + n:
@@ -860,11 +954,14 @@ class DividedCoeffs:
                 quotient, remainder = divmod(c, pv)
                 if remainder:
                     raise NonIntegralError(
-                        f"coefficient of T^{unpack(k)} in x^{index} is not divisible by "
+                        f"coefficient of T^{self._unpack(k)} in x^{index} is not divisible by "
                         f"{index}! * {p}^{p_exponent}")
                 r = quotient * unit_inv % q
                 if r:
-                    out[unpack(k)] = r
+                    exps = decoded.get(k)
+                    if exps is None:
+                        exps = decoded[k] = self._unpack(k)
+                    out[exps] = r
         result = RingElem._trusted(self.base_spec, out)
         self._coeffs[key] = result
         return result
@@ -885,6 +982,10 @@ def taylor_residual(r: RingElem, lift1: FrobLift, lift2: FrobLift) -> RingElem:
     exactly for the indices where delta^I(r) is nonzero mod p^n, in shell
     order, so the checked divisions (and any error they raise) are those of
     the per-index sum.
+
+    Each closing product Psi(T^E) * S_E is computed by `_graded_product`,
+    which skips only the term pairs whose product is = 0 mod p^n; no
+    division changed, and the result equals RingElem.__mul__.
     """
     spec = r.spec
     if lift1.spec != spec or lift2.spec != spec:
@@ -914,5 +1015,5 @@ def taylor_residual(r: RingElem, lift1: FrobLift, lift2: FrobLift) -> RingElem:
                 reduced[e] = x
         if reduced:
             monomial = lift2.apply(RingElem._trusted(spec, {E: 1}))
-            acc = acc - monomial * RingElem._trusted(spec, reduced)
+            acc = acc - _graded_product(monomial, RingElem._trusted(spec, reduced))
     return acc

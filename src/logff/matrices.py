@@ -15,7 +15,7 @@ class Matrix:
             if len(r) != width:
                 raise ValueError("ragged matrix")
             for x in r:
-                if x.spec != spec:
+                if x.spec is not spec and x.spec != spec:
                     raise SpecMismatchError("entry in the wrong ring")
         self.spec = spec
         self.rows = rows

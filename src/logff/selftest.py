@@ -77,7 +77,7 @@ def _poly_mul_int(a, b):
 def _taylor_section(ns, per_cell, seed=SEED):
     rng = random.Random(seed)
     cells = 0
-    for p in (3, 5):
+    for p in (3, 5, 7):
         for n in ns:
             for d in (1, 2):
                 for s in range(d + 1):

@@ -832,10 +832,13 @@ def _coeff_stream(log, bumped=None, bump=None, refused=None):
     return coeff
 
 
-@pytest.mark.parametrize("p,n,d,s", [(5, 8, 2, 2), (7, 6, 2, 2), (3, 8, 2, 2), (5, 3, 2, 1)])
+@pytest.mark.parametrize("p,n,d,s", [(5, 8, 2, 2), (7, 6, 2, 2), (3, 8, 2, 2), (5, 3, 2, 1),
+                                     (3, 4, 2, 0), (7, 3, 2, 0), (3, 3, 3, 1), (5, 6, 1, 0),
+                                     (3, 8, 2, 1)])
 def test_grouped_taylor_sum_matches_per_index_sum(p, n, d, s, monkeypatch):
     # the sum is linear in the coefficient stream, so a stream perturbed at one
-    # index must leave the same nonzero residual on both paths
+    # index must leave the same nonzero residual on both paths; on Laurent
+    # charts (s < d) both factors of the closing products carry negative exponents
     spec = RingSpec(p, n, d, s)
     rng = random.Random(f"taylor-grouped:{p},{n},{d},{s}")
     for _ in range(3):
@@ -871,6 +874,132 @@ def test_grouped_taylor_sum_raises_where_the_per_index_sum_raises(monkeypatch):
         with pytest.raises(NonIntegralError, match=re.escape(str(refused))):
             path(r, l1, l2)
         assert log == requested
+
+
+# -- the valuation-graded closing product against RingElem.__mul__ ---------------
+
+
+def _graded_operand(rng, spec, terms, spread=3):
+    """A random element with `terms` terms whose coefficients p^v * unit run
+    over every valuation v < n, Laurent slots reaching negative exponents."""
+    out = {}
+    for _ in range(terms):
+        exps = tuple(rng.randint(0 if j < spec.s else -spread, spread) for j in range(spec.d))
+        unit = rng.randrange(1, spec.q)
+        while unit % spec.p == 0:
+            unit = rng.randrange(1, spec.q)
+        out[exps] = spec.p ** rng.randrange(spec.n) * unit
+    return RingElem(spec, out)
+
+
+_GRADED_CELLS = [(p, n, d, s) for p in (3, 5, 7) for n in (1, 2, 5, 16)
+                 for d in (1, 2, 3) for s in sorted({0, d})]
+
+
+@pytest.mark.parametrize("p,n,d,s", _GRADED_CELLS)
+def test_graded_product_matches_ring_product(p, n, d, s):
+    from logff.logring import _graded_product
+    spec = RingSpec(p, n, d, s)
+    rng = random.Random(f"graded-product:{p},{n},{d},{s}")
+    zero = RingElem.zero(spec)
+    for _ in range(12):
+        a = _graded_operand(rng, spec, rng.randint(1, 12))
+        b = _graded_operand(rng, spec, rng.randint(1, 12), spread=rng.choice([0, 1, 5]))
+        for x, y in ((a, b), (b, a), (a, a)):
+            assert _graded_product(x, y).terms == (x * y).terms
+    single = _graded_operand(rng, spec, 1)
+    for x, y in ((single, a), (a, single), (single, single)):
+        assert _graded_product(x, y).terms == (x * y).terms
+    for x, y in ((zero, a), (a, zero), (zero, zero)):
+        assert _graded_product(x, y).is_zero()
+    # every coefficient pair vanishes mod p^n: a divisible by p^k, b by p^(n-k)
+    for k in range(n + 1):
+        x = RingElem(spec, {e: c * p ** k for e, c in a.terms.items()})
+        y = RingElem(spec, {e: c * p ** (n - k) for e, c in b.terms.items()})
+        assert (x * y).is_zero() and _graded_product(x, y).is_zero()
+
+
+def test_graded_product_keeps_the_pairs_one_digit_short_of_vanishing():
+    # v1 + v2 = n - 1 is the last valuation sum that survives mod p^n, and
+    # (9, -5) and (-5, 5) are the two ends of both slots' spans
+    from logff.logring import _graded_product
+    for p, n in [(3, 2), (5, 3), (7, 16)]:
+        spec = RingSpec(p, n, 2, 0)
+        x = RingElem(spec, {(-2, 3): p ** (n - 1), (4, -1): 1, (1, 1): p})
+        y = RingElem(spec, {(5, -4): 1, (-3, 2): 2 * p})
+        got = _graded_product(x, y)
+        assert got.terms == (x * y).terms
+        assert got.terms[(3, -1)] == p ** (n - 1)
+        assert got.terms[(9, -5)] == 1
+        assert (-5, 5) not in got.terms                   # v1 + v2 = (n - 1) + 1
+
+
+# -- the one-pass unit inverse against the ring-operation series ---------------
+
+
+def _reference_invert_unit(u):
+    """The geometric series sum_k (-z)^k * b with b = c^-1 T^-E and
+    z = u*b - 1, term by term in RingElem operations, stopping at a zero term
+    or at step n - 1."""
+    spec = u.spec
+    exps, _ = u.unit_monomial_mod_p()
+    base_inv = RingElem.monomial(spec, tuple(-e for e in exps), modinv(u.terms[exps], spec.q))
+    z = u * base_inv - RingElem.one(spec)
+    out = term = RingElem.one(spec)
+    for _ in range(1, spec.n):
+        term = -(term * z)
+        if term.is_zero():
+            break
+        out = out + term
+    return out * base_inv
+
+
+@pytest.mark.parametrize("p,n,d,s", [(p, n, d, s) for p in (3, 5, 7) for n in (1, 2, 4, 9, 16)
+                                     for d in (1, 2, 3) for s in sorted({0, d - 1})])
+def test_invert_unit_matches_the_reference_series(p, n, d, s):
+    spec = RingSpec(p, n, d, s)
+    rng = random.Random(f"invert-unit:{p},{n},{d},{s}")
+    one = RingElem.one(spec)
+    for _ in range(6):
+        exps = tuple(0 if j < s else rng.randint(-3, 3) for j in range(d))
+        c = rng.randrange(1, spec.q)
+        while c % p == 0:
+            c = rng.randrange(1, spec.q)
+        u = RingElem.monomial(spec, exps, c) * (one + random_elem(rng, spec).scale(p))
+        inv = u.invert_unit()
+        assert inv.terms == _reference_invert_unit(u).terms
+        assert u * inv == one
+
+
+def test_invert_unit_of_a_unit_monomial_is_a_monomial():
+    spec = RingSpec(5, 4, 2, 1)
+    u = RingElem.monomial(spec, (0, -3), 7)
+    assert u.invert_unit() == RingElem.monomial(spec, (0, 3), modinv(7, spec.q))
+
+
+# -- coefficient keys are decoded once per engine --------------------------------
+
+
+def test_coeff_in_shuffled_order_matches_fresh_engines():
+    """Requests in shuffled order, interleaved over two engines whose packed
+    radices differ, against a fresh engine per request."""
+    cells = []
+    for p, n, d, s, width in [(3, 5, 2, 2, 0), (5, 3, 2, 1, 1)]:
+        spec = RingSpec(p, n, d, s)
+        rng = random.Random(f"coeff-shuffled:{p},{n},{d},{s}")
+        g1, g2 = random_lift(rng, spec).as_ring_map(), random_lift(rng, spec).as_ring_map()
+        engine = DividedCoeffs(g1, g2, width)
+        requests = [(index, e) for c in range(engine.stop) for index in multi_indices(d, c)
+                    for e in range(min(width, c) + 1)]
+        cells.append((engine, (g1, g2, width), requests))
+    assert cells[0][0]._base != cells[1][0]._base
+    queue = [(k, req) for k, (_, _, requests) in enumerate(cells) for req in requests]
+    random.Random(114).shuffle(queue)
+    for k, (index, e) in queue:
+        engine, args, _ = cells[k]
+        assert engine.coeff(index, e) == DividedCoeffs(*args).coeff(index, e), (k, index, e)
+    for engine, _, _ in cells:
+        assert all(engine._unpack(key) == exps for key, exps in engine._exps.items())
 
 
 # -- the trusted constructor keeps results canonical ---------------------------
