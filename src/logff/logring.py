@@ -23,11 +23,14 @@ of monomials is one integer addition; `RingElem` stays keyed by tuples.
 `taylor_residual` groups the Taylor sum by the monomials of r: since Psi is
 additive and delta^I acts diagonally on monomials,
 sum_I Psi(delta^I r) * x_I = sum_E Psi(T^E) * sum_I c_E falling(E, I) x_I,
-one product per term of r instead of one per index I.  Packed keys serve
-these closing products too, in a mixed radix taken from the exponent spans
-of the two operands (`_graded_product`): both operands are grouped by
-p-adic valuation, and the pairs of groups whose products all vanish mod p^n
-are skipped, with the same bucket-pair loop that `DividedCoeffs` uses.
+one product per term of r instead of one per index I.
+
+Packed keys also serve `RingElem.__mul__` once a product has at least
+_GRADED_MIN_PAIRS term pairs, as the large closing products of that sum do
+(`_graded_product`): the radix is taken from the exponent spans of the two
+operands, both are grouped by p-adic valuation, and the pairs of groups
+whose products all vanish mod p^n are skipped, with the same bucket-pair
+loop that `DividedCoeffs` uses.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import ceil, factorial, gcd
 from operator import add, mul, sub
 
@@ -253,9 +256,18 @@ class RingElem:
         return self + (-other)
 
     def __mul__(self, other):
+        """The product mod p^n, on one of two paths chosen by the number of term pairs.
+
+        Below _GRADED_MIN_PAIRS pairs every pair is multiplied and reduced
+        in turn; from there on `_graded_product` skips the pairs whose
+        product is = 0 mod p^n.  Both give the same terms.  The threshold
+        is measured; see _GRADED_MIN_PAIRS.
+        """
         if isinstance(other, int):
             return self.scale(other)
         self._check(other)
+        if len(self.terms) * len(other.terms) >= _GRADED_MIN_PAIRS:
+            return _graded_product(self, other)
         q = self.spec.q
         out: dict[tuple[int, ...], int] = {}
         right = other.terms.items()
@@ -370,48 +382,26 @@ class RingElem:
     def invert_unit(self) -> "RingElem":
         """Inverse of a unit c*T^E*(1 + p*z), via a finite geometric series mod p^n.
 
-        With b = c^-1 T^-E the series is sum_k (-z)^k, z = self*b - 1; z is
-        divisible by p, so (-z)^n = 0 mod p^n, and the sum stops at step n - 1
-        or at the first zero term.  Each step is one pass on plain dicts: the
-        unreduced product term * (-z) is reduced mod p^n term by term and
-        folded into the sum as it goes.  The terms are those of the series
-        itself: no pair of terms is skipped, only residues = 0 mod p^n are
-        dropped, and no division changed (the only one is the inverse of the
-        unit c, as before).
+        The series' products are RingElem products: a large one skips only
+        the term pairs whose product is = 0 mod p^n, and the only division
+        is the inverse of the unit c.
         """
         um = self.unit_monomial_mod_p()
         if um is None:
             raise ZeroDivisionError(f"not a unit of the ring: {self}")
         exps, _ = um
-        spec = self.spec
-        q = spec.q
-        a_inv = modinv(self.terms[exps], q)
-        shift = tuple(-e for e in exps)
-        # -z = 1 - self*b: the term at exps becomes the 1 that cancels
-        neg_z = [(tuple(map(add, e, shift)), -c * a_inv % q)
-                 for e, c in self.terms.items() if e != exps]
-        const = (0,) * spec.d
-        out = {const: 1}
-        term = {const: 1}
-        for _ in range(1, spec.n):
-            raw: defaultdict[tuple[int, ...], int] = defaultdict(int)
-            for e1, c1 in term.items():
-                for e2, c2 in neg_z:
-                    raw[tuple(map(add, e1, e2))] += c1 * c2
-            term = {}
-            for e, c in raw.items():
-                c %= q
-                if c:
-                    term[e] = c
-                    s = (out.get(e, 0) + c) % q
-                    if s:
-                        out[e] = s
-                    else:
-                        del out[e]
-            if not term:
+        a = self.terms[exps]
+        base_inv = RingElem.monomial(self.spec, tuple(-e for e in exps), modinv(a, self.spec.q))
+        z = self * base_inv - RingElem.one(self.spec)
+        # z is divisible by p, so z^n = 0 mod p^n
+        out = RingElem.one(self.spec)
+        term = RingElem.one(self.spec)
+        for _ in range(1, self.spec.n):
+            term = -(term * z)
+            if term.is_zero():
                 break
-        return RingElem._trusted(
-            spec, {tuple(map(add, e, shift)): c * a_inv % q for e, c in out.items()})
+            out = out + term
+        return out * base_inv
 
     def divisible_by_p(self, k: int = 1) -> bool:
         pk = self.spec.p ** k
@@ -692,9 +682,26 @@ def work_precision(p: int, base_n: int, width: int) -> int:
 # -- valuation-graded products on packed keys -----------------------------------
 
 
+# RingElem.__mul__ takes the graded path from this many term pairs on.  Each
+# product RingElem.__mul__ sees over the seed-401 prefixes of the three
+# benchmark workloads was timed on both paths (CPython 3.11, x86-64).  The
+# graded path is 2-7x slower below 64 pairs, where nearly all products of
+# verify-mix and glue-d3 fall; with every product graded the prefixes' product
+# time went 95 -> 161 ms (taylor-highn), 33 -> 162 ms (glue-d3) and
+# 16 -> 88 ms (verify-mix).  With this threshold taylor-highn's went to 70 ms
+# (96 of its 3662 products graded, 62% of their term pairs skipped), glue-d3
+# grades one product (+0.4%) and verify-mix none; 256 to 512 agree within 1%.
+# End to end, in ten alternating 30 s runs per workload against a
+# RingElem.__mul__ with no graded path, grading every product raised p50 by
+# 37% (taylor-highn), 77% (glue-d3) and 44% (verify-mix), while this
+# threshold lowered taylor-highn's p50 by 10% and left the other two flat.
+_GRADED_MIN_PAIRS = 256
+
+
+@cache
 def _valuation_table(p: int, top: int) -> dict[int, int]:
     """p^k -> k for k < top: the valuation of a residue c in [1, p^m), m <= top,
-    is read off gcd(c, p^m)."""
+    is read off gcd(c, p^m).  Shared between callers; read it, never change it."""
     return {p ** k: k for k in range(top)}
 
 
@@ -739,7 +746,7 @@ def _graded_sums(left: dict, right: dict, m: int) -> dict[int, int]:
 
 
 def _graded_product(a: RingElem, b: RingElem) -> RingElem:
-    """a * b, equal to RingElem.__mul__, without the term pairs that vanish mod p^n.
+    """a * b mod p^n without the term pairs that vanish mod p^n (RingElem.__mul__'s large path).
 
     Both operands are packed into integers in a mixed radix taken from their
     own exponent spans: slot j holds E_j - lo_j, lo_j the least exponent of
@@ -900,9 +907,8 @@ class DividedCoeffs:
         and vanish; `_graded_sums` skips such a bucket pair without touching
         its terms, and the raw products are reduced mod p^prec once per
         output term.  The grading pays off over the long chains of products
-        along the index trie and over the large closing products of
-        `taylor_residual` (`_graded_product`); for the small one-shot
-        products of RingElem.__mul__ it would cost more than it saves.
+        along the index trie; RingElem.__mul__ uses it only for products of
+        at least _GRADED_MIN_PAIRS term pairs, where it was measured to.
         """
         m = self.work_n if prec is None else prec
         got = self._powers.get(index)
@@ -983,9 +989,9 @@ def taylor_residual(r: RingElem, lift1: FrobLift, lift2: FrobLift) -> RingElem:
     order, so the checked divisions (and any error they raise) are those of
     the per-index sum.
 
-    Each closing product Psi(T^E) * S_E is computed by `_graded_product`,
-    which skips only the term pairs whose product is = 0 mod p^n; no
-    division changed, and the result equals RingElem.__mul__.
+    A closing product Psi(T^E) * S_E of at least _GRADED_MIN_PAIRS term
+    pairs takes RingElem.__mul__'s graded path, which skips only the term
+    pairs whose product is = 0 mod p^n; no division changed.
     """
     spec = r.spec
     if lift1.spec != spec or lift2.spec != spec:
@@ -1015,5 +1021,5 @@ def taylor_residual(r: RingElem, lift1: FrobLift, lift2: FrobLift) -> RingElem:
                 reduced[e] = x
         if reduced:
             monomial = lift2.apply(RingElem._trusted(spec, {E: 1}))
-            acc = acc - _graded_product(monomial, RingElem._trusted(spec, reduced))
+            acc = acc - monomial * RingElem._trusted(spec, reduced)
     return acc

@@ -876,12 +876,12 @@ def test_grouped_taylor_sum_raises_where_the_per_index_sum_raises(monkeypatch):
         assert log == requested
 
 
-# -- the valuation-graded closing product against RingElem.__mul__ ---------------
+# -- the two paths of RingElem.__mul__ give the same terms ----------------------
 
 
 def _graded_operand(rng, spec, terms, spread=3):
-    """A random element with `terms` terms whose coefficients p^v * unit run
-    over every valuation v < n, Laurent slots reaching negative exponents."""
+    """A random element with up to `terms` terms whose coefficients p^v * unit
+    run over every valuation v < n, Laurent slots reaching negative exponents."""
     out = {}
     for _ in range(terms):
         exps = tuple(rng.randint(0 if j < spec.s else -spread, spread) for j in range(spec.d))
@@ -892,34 +892,49 @@ def _graded_operand(rng, spec, terms, spread=3):
     return RingElem(spec, out)
 
 
+@pytest.fixture
+def direct_mul(monkeypatch):
+    """x * y on the pair-by-pair path of RingElem.__mul__, however many pairs."""
+    import logff.logring as logring
+
+    def product(x, y):
+        with monkeypatch.context() as m:
+            m.setattr(logring, "_GRADED_MIN_PAIRS", float("inf"))
+            return x * y
+    return product
+
+
 _GRADED_CELLS = [(p, n, d, s) for p in (3, 5, 7) for n in (1, 2, 5, 16)
                  for d in (1, 2, 3) for s in sorted({0, d})]
 
 
 @pytest.mark.parametrize("p,n,d,s", _GRADED_CELLS)
-def test_graded_product_matches_ring_product(p, n, d, s):
+def test_graded_product_matches_direct_product(p, n, d, s, direct_mul):
     from logff.logring import _graded_product
     spec = RingSpec(p, n, d, s)
     rng = random.Random(f"graded-product:{p},{n},{d},{s}")
     zero = RingElem.zero(spec)
     for _ in range(12):
-        a = _graded_operand(rng, spec, rng.randint(1, 12))
-        b = _graded_operand(rng, spec, rng.randint(1, 12), spread=rng.choice([0, 1, 5]))
+        # up to 40 x 40 terms: products on both sides of _GRADED_MIN_PAIRS
+        a = _graded_operand(rng, spec, rng.randint(1, 40), spread=12)
+        b = _graded_operand(rng, spec, rng.randint(1, 40), spread=rng.choice([0, 1, 5, 12]))
         for x, y in ((a, b), (b, a), (a, a)):
-            assert _graded_product(x, y).terms == (x * y).terms
+            want = direct_mul(x, y).terms
+            assert _graded_product(x, y).terms == want
+            assert (x * y).terms == want
     single = _graded_operand(rng, spec, 1)
     for x, y in ((single, a), (a, single), (single, single)):
-        assert _graded_product(x, y).terms == (x * y).terms
+        assert _graded_product(x, y).terms == direct_mul(x, y).terms
     for x, y in ((zero, a), (a, zero), (zero, zero)):
         assert _graded_product(x, y).is_zero()
     # every coefficient pair vanishes mod p^n: a divisible by p^k, b by p^(n-k)
     for k in range(n + 1):
         x = RingElem(spec, {e: c * p ** k for e, c in a.terms.items()})
         y = RingElem(spec, {e: c * p ** (n - k) for e, c in b.terms.items()})
-        assert (x * y).is_zero() and _graded_product(x, y).is_zero()
+        assert direct_mul(x, y).is_zero() and _graded_product(x, y).is_zero()
 
 
-def test_graded_product_keeps_the_pairs_one_digit_short_of_vanishing():
+def test_graded_product_keeps_the_pairs_one_digit_short_of_vanishing(direct_mul):
     # v1 + v2 = n - 1 is the last valuation sum that survives mod p^n, and
     # (9, -5) and (-5, 5) are the two ends of both slots' spans
     from logff.logring import _graded_product
@@ -928,47 +943,56 @@ def test_graded_product_keeps_the_pairs_one_digit_short_of_vanishing():
         x = RingElem(spec, {(-2, 3): p ** (n - 1), (4, -1): 1, (1, 1): p})
         y = RingElem(spec, {(5, -4): 1, (-3, 2): 2 * p})
         got = _graded_product(x, y)
-        assert got.terms == (x * y).terms
+        assert got.terms == direct_mul(x, y).terms
         assert got.terms[(3, -1)] == p ** (n - 1)
         assert got.terms[(9, -5)] == 1
         assert (-5, 5) not in got.terms                   # v1 + v2 = (n - 1) + 1
 
 
-# -- the one-pass unit inverse against the ring-operation series ---------------
+def test_mul_takes_the_graded_path_from_the_threshold_on(monkeypatch):
+    import logff.logring as logring
+    calls = []
+    real = logring._graded_product
+    monkeypatch.setattr(logring, "_graded_product", lambda a, b: calls.append(1) or real(a, b))
+    spec = RingSpec(5, 3, 2, 1)
+    row = RingElem(spec, {(0, k): k + 1 for k in range(16)})
+    col = RingElem(spec, {(k, 0): k + 2 for k in range(16)})
+    short = RingElem(spec, {(k, 0): k + 2 for k in range(15)})
+    assert len(row.terms) * len(col.terms) == logring._GRADED_MIN_PAIRS
+    assert len(row.terms) * len(short.terms) < logring._GRADED_MIN_PAIRS
+    row * short
+    assert calls == []
+    got = row * col
+    assert calls == [1]
+    assert got.terms == {(j, k): (j + 2) * (k + 1) % spec.q for j in range(16) for k in range(16)}
 
 
-def _reference_invert_unit(u):
-    """The geometric series sum_k (-z)^k * b with b = c^-1 T^-E and
-    z = u*b - 1, term by term in RingElem operations, stopping at a zero term
-    or at step n - 1."""
-    spec = u.spec
-    exps, _ = u.unit_monomial_mod_p()
-    base_inv = RingElem.monomial(spec, tuple(-e for e in exps), modinv(u.terms[exps], spec.q))
-    z = u * base_inv - RingElem.one(spec)
-    out = term = RingElem.one(spec)
-    for _ in range(1, spec.n):
-        term = -(term * z)
-        if term.is_zero():
-            break
-        out = out + term
-    return out * base_inv
+# -- the unit inverse on both product paths ---------------------------------------
 
 
 @pytest.mark.parametrize("p,n,d,s", [(p, n, d, s) for p in (3, 5, 7) for n in (1, 2, 4, 9, 16)
                                      for d in (1, 2, 3) for s in sorted({0, d - 1})])
-def test_invert_unit_matches_the_reference_series(p, n, d, s):
+def test_invert_unit_on_both_product_paths(p, n, d, s, monkeypatch):
+    import logff.logring as logring
+    calls = []
+    real = logring._graded_product
+    monkeypatch.setattr(logring, "_graded_product", lambda a, b: calls.append(1) or real(a, b))
     spec = RingSpec(p, n, d, s)
     rng = random.Random(f"invert-unit:{p},{n},{d},{s}")
     one = RingElem.one(spec)
-    for _ in range(6):
+    for _ in range(4):
         exps = tuple(0 if j < s else rng.randint(-3, 3) for j in range(d))
         c = rng.randrange(1, spec.q)
         while c % p == 0:
             c = rng.randrange(1, spec.q)
-        u = RingElem.monomial(spec, exps, c) * (one + random_elem(rng, spec).scale(p))
+        u = RingElem.monomial(spec, exps, c) * (one + random_elem(rng, spec, 6, 4).scale(p))
         inv = u.invert_unit()
-        assert inv.terms == _reference_invert_unit(u).terms
         assert u * inv == one
+        with monkeypatch.context() as m:
+            m.setattr(logring, "_GRADED_MIN_PAIRS", float("inf"))
+            assert u.invert_unit().terms == inv.terms
+    if n == 16 and d > 1:
+        assert calls                    # the series' late products are large enough
 
 
 def test_invert_unit_of_a_unit_monomial_is_a_monomial():
