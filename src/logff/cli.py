@@ -170,6 +170,13 @@ def cmd_selftest(args) -> int:
     return report["exit_status"]
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="logff",
@@ -199,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_pull)
 
     p_coeffs = sub.add_parser("coeffs", help="emit falling-factorial structure constants")
-    p_coeffs.add_argument("--max", type=int, default=4)
+    p_coeffs.add_argument("--max", type=_non_negative_int, default=4)
     p_coeffs.add_argument("--format", choices=("text", "json"), default="text")
 
     p_self = sub.add_parser("selftest", help="run the verification grid")

@@ -27,10 +27,10 @@ one product per term of r instead of one per index I.
 
 Packed keys also serve `RingElem.__mul__` once a product has at least
 _GRADED_MIN_PAIRS term pairs, as the large closing products of that sum do
-(`_graded_product`): the radix is taken from the exponent spans of the two
-operands, both are grouped by p-adic valuation, and the pairs of groups
-whose products all vanish mod p^n are skipped, with the same bucket-pair
-loop that `DividedCoeffs` uses.
+(`_graded_product`): both operands are packed in the same balanced radix
+(`_pack`), grouped by p-adic valuation, and the pairs of groups whose
+products all vanish mod p^n are skipped, with the same bucket-pair loop
+that `DividedCoeffs` uses.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from math import ceil, factorial, gcd
-from operator import add, mul, sub
+from operator import add
 
 from .exactnum import NonIntegralError, factorial_valp, modinv, reduce_mod
 
@@ -745,43 +745,59 @@ def _graded_sums(left: dict, right: dict, m: int) -> dict[int, int]:
     return acc
 
 
+def _top_exponent(x: RingElem) -> int:
+    """max |E_j| over the terms of x (0 for x = 0)."""
+    return max((abs(e) for exps in x.terms for e in exps), default=0)
+
+
+def _pack(exps: tuple[int, ...], half: int) -> int:
+    """The balanced radix-(2*half + 1) number sum_j E_j * (2*half + 1)^j.
+
+    It is linear in E, so the key of a product of monomials is the sum of
+    their keys; `_unpack` inverts it for every E with all |E_j| <= half.
+    """
+    base = 2 * half + 1
+    key = 0
+    for e in reversed(exps):
+        key = key * base + e
+    return key
+
+
+def _unpack(key: int, half: int, d: int) -> tuple[int, ...]:
+    """The d exponents, each in [-half, half], that `_pack` maps to key."""
+    base = 2 * half + 1
+    digits = []
+    for _ in range(d):
+        digit = (key + half) % base - half
+        digits.append(digit)
+        key = (key - digit) // base
+    return tuple(digits)
+
+
 def _graded_product(a: RingElem, b: RingElem) -> RingElem:
     """a * b mod p^n without the term pairs that vanish mod p^n (RingElem.__mul__'s large path).
 
-    Both operands are packed into integers in a mixed radix taken from their
-    own exponent spans: slot j holds E_j - lo_j, lo_j the least exponent of
-    that operand in slot j, and has width span_j(a) + span_j(b) + 1.  The
-    digit of a sum of two keys then stays in [0, width), so no carry crosses
-    a slot and negative Laurent exponents pack like any other.  The
-    coefficients are graded by valuation and multiplied by `_graded_sums`;
-    each output key is reduced mod p^n and decoded once.
+    Both operands are packed (`_pack`) with half-width max|exponent of a| +
+    max|exponent of b|, which bounds every exponent of the product, so no
+    carry crosses a slot.  The coefficients are graded by valuation and
+    multiplied by `_graded_sums`; each output key is reduced mod p^n and
+    decoded once.
     """
     spec = a.spec
     if not a.terms or not b.terms:
         return RingElem._trusted(spec, {})
-    lo_a, lo_b = list(map(min, zip(*a.terms))), list(map(min, zip(*b.terms)))
-    widths = [ha - la + hb - lb + 1 for ha, la, hb, lb in zip(
-        map(max, zip(*a.terms)), lo_a, map(max, zip(*b.terms)), lo_b)]
-    radix = [1] * spec.d
-    for j in range(1, spec.d):
-        radix[j] = radix[j - 1] * widths[j - 1]
+    half = _top_exponent(a) + _top_exponent(b)
     q = spec.q
     valuation_of = _valuation_table(spec.p, spec.n)
 
-    def graded(x: RingElem, lo: list[int]) -> dict:
-        return _grade({sum(map(mul, map(sub, e, lo), radix)): c for e, c in x.terms.items()},
-                      q, valuation_of)
+    def graded(x: RingElem) -> dict:
+        return _grade({_pack(e, half): c for e, c in x.terms.items()}, q, valuation_of)
 
-    offsets = list(map(add, lo_a, lo_b))
     out = {}
-    for key, c in _graded_sums(graded(a, lo_a), graded(b, lo_b), spec.n).items():
+    for key, c in _graded_sums(graded(a), graded(b), spec.n).items():
         c %= q
         if c:
-            exps = []
-            for width, offset in zip(widths, offsets):
-                key, digit = divmod(key, width)
-                exps.append(digit + offset)
-            out[tuple(exps)] = c
+            out[_unpack(key, half, spec.d)] = c
     return RingElem._trusted(spec, out)
 
 
@@ -817,13 +833,13 @@ class DividedCoeffs:
 
     Inside the engine an exponent vector E is one integer, the balanced
     radix-B number P(E) = sum_j E_j * B^j with B = 2h + 1 and digits in
-    [-h, h] (Laurent slots carry negative exponents).  P is linear, so the
-    exponent of a product is the sum of the keys.  The half-width h comes from
-    a proof, not a setting: `coeff` refuses I once v_p(I!) > work_n - n, and
-    v_p(i!) >= floor(i/p), so every index it accepts has |I| < cap =
-    d * p * (work_n - n + 1); x^I then has exponents of absolute value at most
-    M * |I|, M the largest |exponent| in any x_j, and h = M * cap + 1 leaves no
-    carry between digits.  `_power` refuses |I| > cap, so no key it builds can
+    [-h, h] (`_pack`; Laurent slots carry negative exponents).  P is linear,
+    so the exponent of a product is the sum of the keys.  The half-width h
+    comes from a proof, not a setting: `coeff` refuses I once
+    v_p(I!) > work_n - n, and v_p(i!) >= floor(i/p), so every index it
+    accepts has |I| < cap = d * p * (work_n - n + 1); x^I then has exponents
+    of absolute value at most M * |I|, M the largest |exponent| in any x_j,
+    and h = M * cap + 1 leaves no carry between digits.  `_power` refuses |I| > cap, so no key it builds can
     collide with another.  `coeff` decodes every output term back into the
     tuple keys of RingElem, which never sees a packed key.
     """
@@ -864,12 +880,9 @@ class DividedCoeffs:
             xs.append(xj)
         d = g1.source.d
         self._cap = d * p * (self.work_n - n + 1)
-        top = max((abs(e) for xj in xs for exps in xj.terms for e in exps), default=0)
-        self._half = top * self._cap + 1
-        self._base = 2 * self._half + 1
-        self._radix = [self._base ** j for j in range(d)]
-        self._x = [self._graded({self._pack(e): c for e, c in xj.terms.items()}, self.work_n)
-                   for xj in xs]
+        self._half = max(map(_top_exponent, xs), default=0) * self._cap + 1
+        self._x = [self._graded({_pack(e, self._half): c for e, c in xj.terms.items()},
+                                self.work_n) for xj in xs]
         # index -> (m, x^I mod p^m in graded form); m never exceeds work_n
         self._powers: dict[tuple[int, ...], tuple[int, dict]] = {
             (0,) * d: (self.work_n, self._graded({0: 1}, self.work_n))}
@@ -877,27 +890,15 @@ class DividedCoeffs:
         # packed key -> exponent tuple: each key is decoded once per engine
         self._exps: dict[int, tuple[int, ...]] = {}
 
-    def _pack(self, exps: tuple[int, ...]) -> int:
-        return sum(map(mul, exps, self._radix))
-
-    def _unpack(self, key: int) -> tuple[int, ...]:
-        base, half = self._base, self._half
-        digits = []
-        for _ in self._radix:
-            digit = (key + half) % base - half
-            digits.append(digit)
-            key = (key - digit) // base
-        return tuple(digits)
-
     def _graded(self, terms: dict[int, int], prec: int) -> dict:
         """Residues mod p^prec (1 <= prec <= work_n) grouped by exact p-adic valuation."""
         return _grade(terms, self.p ** prec, self._valuation_of)
 
-    def _power(self, index: tuple[int, ...], prec: int | None = None) -> dict:
-        """x^I mod p^prec in graded form (see _graded), memoized along the index trie.
+    def _power(self, index: tuple[int, ...], prec: int) -> dict:
+        """x^I mod p^prec (prec <= work_n) in graded form (see _graded), memoized
+        along the index trie; `coeff` asks for the precision its division reads.
 
-        prec defaults to work_n, the ceiling; `coeff` asks for less.  Every
-        x_j is divisible by p, so x^(I - e_j) mod p^(prec - 1) determines
+        Every x_j is divisible by p, so x^(I - e_j) mod p^(prec - 1) determines
         x^I = x^(I - e_j) * x_j mod p^prec: the parent is computed only to
         prec - 1, and x^I vanishes mod p^prec outright once |I| >= prec.
         The memo records the precision each power holds; a request for more
@@ -910,22 +911,22 @@ class DividedCoeffs:
         along the index trie; RingElem.__mul__ uses it only for products of
         at least _GRADED_MIN_PAIRS term pairs, where it was measured to.
         """
-        m = self.work_n if prec is None else prec
         got = self._powers.get(index)
-        if got is not None and got[0] >= m:
+        if got is not None and got[0] >= prec:
             return got[1]
         size = sum(index)
         if size > self._cap:
             raise WorkingPrecisionError(
                 f"x^{index} is beyond |I| <= {self._cap}, the largest index the "
                 f"packed exponent keys hold")
-        if size >= m:
+        if size >= prec:
             return {}
         j0 = next(i for i, v in enumerate(index) if v)
         parent = list(index)
         parent[j0] -= 1
-        out = self._graded(_graded_sums(self._power(tuple(parent), m - 1), self._x[j0], m), m)
-        self._powers[index] = (m, out)
+        out = self._graded(
+            _graded_sums(self._power(tuple(parent), prec - 1), self._x[j0], prec), prec)
+        self._powers[index] = (prec, out)
         return out
 
     def coeff(self, index: tuple[int, ...], p_exponent: int) -> RingElem:
@@ -950,7 +951,7 @@ class DividedCoeffs:
         pv = p ** v
         # I! * p^e = p^v * unit; invert the unit once for the whole coefficient
         unit_inv = reduce_mod(Fraction(pv, multi_factorial(index) * p ** p_exponent), p, n)
-        q = self.base_spec.q
+        q, d, half = self.base_spec.q, self.base_spec.d, self._half
         decoded = self._exps
         out = {}
         for w, (keys, coeffs) in self._power(index, n + v).items():
@@ -960,13 +961,13 @@ class DividedCoeffs:
                 quotient, remainder = divmod(c, pv)
                 if remainder:
                     raise NonIntegralError(
-                        f"coefficient of T^{self._unpack(k)} in x^{index} is not divisible by "
+                        f"coefficient of T^{_unpack(k, half, d)} in x^{index} is not divisible by "
                         f"{index}! * {p}^{p_exponent}")
                 r = quotient * unit_inv % q
                 if r:
                     exps = decoded.get(k)
                     if exps is None:
-                        exps = decoded[k] = self._unpack(k)
+                        exps = decoded[k] = _unpack(k, half, d)
                     out[exps] = r
         result = RingElem._trusted(self.base_spec, out)
         self._coeffs[key] = result

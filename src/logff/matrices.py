@@ -48,11 +48,19 @@ class Matrix:
     def column(self, k: int) -> list[RingElem]:
         return [r[k] for r in self.rows]
 
+    def _check_same_shape(self, other: "Matrix"):
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError("shape mismatch")
+        if other.spec != self.spec:
+            raise SpecMismatchError(f"{self.spec} vs {other.spec}")
+
     def __add__(self, other: "Matrix") -> "Matrix":
+        self._check_same_shape(other)
         return Matrix(self.spec, [[a + b for a, b in zip(r1, r2)]
                                   for r1, r2 in zip(self.rows, other.rows)])
 
     def __sub__(self, other: "Matrix") -> "Matrix":
+        self._check_same_shape(other)
         return Matrix(self.spec, [[a - b for a, b in zip(r1, r2)]
                                   for r1, r2 in zip(self.rows, other.rows)])
 

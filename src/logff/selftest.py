@@ -1,9 +1,10 @@
 """Batch verification grid: every identity suite on one deterministic run.
 
-Used by the `selftest` CLI command; the acceptance test suite calls the same
-section functions with its own (larger) sizes.  Each section reports ok/fail plus counters;
-NonIntegral errors are never caught silently, they fail the section that
-raised them.
+Each gluing and pullback bullet is one section function over a list of
+(p, n) cells; `run_selftest` and the acceptance criteria A1-A11 call the
+same functions, each at its own sizes and seeds.  Each section reports
+ok/fail plus counters; NonIntegral errors are never caught silently, they
+fail the section that raised them.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import time
 
 from .exactnum import NonIntegralError
 from .ffcoeff import falling_poly, structure_constants, verify_coeff_identity
-from .ffmodule import root_pullback, run_all_checks
+from .ffmodule import reduce_mod_pm, root_map, root_pullback, run_all_checks
 from .fixtures import (
     check_corpus,
     glue_corpus,
@@ -31,10 +32,13 @@ from .transport import (
     check_nonlog_agreement,
     check_pullback_functorial,
     glue_map,
+    modules_equal,
+    pullback_ff,
     transport,
 )
 
 SEED = 0x10F7
+GRID_PN = [(3, 1), (3, 2), (5, 1), (5, 2)]
 
 
 def _section(fn):
@@ -92,6 +96,10 @@ def _taylor_section(ns, per_cell, seed=SEED):
     return {"cells": cells, "per_cell": per_cell}
 
 
+def _passes(module) -> bool:
+    return all(v.ok for v in run_all_checks(module).values())
+
+
 def _module_section(pn_list):
     count = 0
     for p, n in pn_list:
@@ -103,56 +111,120 @@ def _module_section(pn_list):
     return {"modules": count}
 
 
-def _glue_section(pn_list, triples, rs, seed=SEED):
-    rng = random.Random(seed + 1)
-    fixtures = 0
-    for p, n in pn_list:
-        for name, module in glue_corpus(p, n):
-            spec = module.spec
-            for _ in range(triples):
-                l1, l2, l3 = (random_lift(rng, spec) for _ in range(3))
-                assert check_glue_identity(module, l1), f"{name}: identity"
-                assert check_glue_cocycle(module, l1, l2, l3), f"{name}: cocycle"
-                assert check_glue_horizontal(module, l1, l2), f"{name}: horizontality"
-                g = glue_map(module, l1, l2)
-                for _ in range(rs):
-                    r = random_elem(rng, spec)
-                    assert check_glue_linearity(module, l1, l2, r, glue=g), \
-                        f"{name}: linearity"
-                moved = transport(module, l1)
-                res = run_all_checks(moved)
-                assert all(v.ok for v in res.values()), f"{name}: transport validity"
-            if spec.s == 0:
-                l1, l2 = random_lift(rng, spec), random_lift(rng, spec)
-                assert check_nonlog_agreement(module, l1, l2), f"{name}: nonlog"
-            fixtures += 1
-    return {"fixtures": fixtures, "triples": triples}
+def _glue_fixtures(cells):
+    return [fixture for p, n in cells for fixture in glue_corpus(p, n)]
 
 
-def _pullback_section(seed=SEED):
-    rng = random.Random(seed + 2)
-    checked = 0
-    for p, n in [(3, 1), (5, 2)]:
+def _identity_section(cells, count, seed=SEED):
+    """Each fixture's own lift and `count` random lifts glue to the identity."""
+    rng = random.Random(seed)
+    fixtures = _glue_fixtures(cells)
+    for name, module in fixtures:
+        for lift in [module.lift] + [random_lift(rng, module.spec) for _ in range(count)]:
+            assert check_glue_identity(module, lift), f"{name}: identity"
+    return {"fixtures": len(fixtures)}
+
+
+def _cocycle_section(cells, count, seed=SEED):
+    rng = random.Random(seed)
+    for name, module in _glue_fixtures(cells):
+        for _ in range(count):
+            l1, l2, l3 = (random_lift(rng, module.spec) for _ in range(3))
+            assert check_glue_cocycle(module, l1, l2, l3), f"{name}: cocycle"
+
+
+def _horizontal_section(cells, count, seed=SEED):
+    rng = random.Random(seed)
+    for name, module in _glue_fixtures(cells):
+        for _ in range(count):
+            l1, l2 = random_lift(rng, module.spec), random_lift(rng, module.spec)
+            assert check_glue_horizontal(module, l1, l2), f"{name}: horizontality"
+
+
+def _linearity_section(cells, count, elements, seed=SEED):
+    """`elements` random ring elements against each of `count` lift pairs."""
+    rng = random.Random(seed)
+    for name, module in _glue_fixtures(cells):
+        for _ in range(count):
+            l1, l2 = random_lift(rng, module.spec), random_lift(rng, module.spec)
+            g = glue_map(module, l1, l2)
+            for _ in range(elements):
+                r = random_elem(rng, module.spec)
+                assert check_glue_linearity(module, l1, l2, r, glue=g), f"{name}: linearity"
+
+
+def _transport_section(cells, count, seed=SEED):
+    """Transport to random lifts keeps every check passing; transport back gives the fixture."""
+    rng = random.Random(seed)
+    for name, module in _glue_fixtures(cells):
+        assert _passes(module), f"{name}: fixture fails a check"
+        for _ in range(count):
+            moved = transport(module, random_lift(rng, module.spec))
+            assert _passes(moved), f"{name}: transported module fails a check"
+            assert modules_equal(transport(moved, module.lift), module), f"{name}: transport back"
+
+
+def _nonlog_section(cells, seed=SEED):
+    """One random lift pair per fixture without divisor (s = 0)."""
+    rng = random.Random(seed)
+    fixtures = [(name, module) for name, module in _glue_fixtures(cells) if module.spec.s == 0]
+    for name, module in fixtures:
+        l1, l2 = random_lift(rng, module.spec), random_lift(rng, module.spec)
+        assert check_nonlog_agreement(module, l1, l2), f"{name}: nonlog"
+    return {"fixtures": len(fixtures)}
+
+
+def _glue_section(cells, count, elements):
+    """The six gluing bullets over glue_corpus(cells)."""
+    fixtures = _identity_section(cells, count)["fixtures"]
+    _cocycle_section(cells, count)
+    _horizontal_section(cells, count)
+    _linearity_section(cells, count, elements)
+    _transport_section(cells, count)
+    _nonlog_section(cells)
+    return {"fixtures": fixtures, "triples": count}
+
+
+def _functoriality_section(cells, seed=SEED):
+    """Pullback along f then g equals pullback along g o f for five maps on nil2(p, n)."""
+    rng = random.Random(seed)
+    pairs = 0
+    for p, n in cells:
         module = nil2(p, n)
         spec = module.spec
-        zero = RingElem.zero(spec)
         t = RingElem.variable(spec, 1)
-        maps = [
-            RingMap(spec, spec, [(2, (1,), zero)]),
-            RingMap(spec, spec, [(1, (1,), t)]),
-            RingMap(spec, spec, [(p + 1, (1,), t)]),
-        ]
+        ident = RingMap.identity(spec)
+        maps = [ident, RingMap(spec, spec, [(2, (1,), RingElem.zero(spec))]),
+                RingMap(spec, spec, [(1, (1,), t)]), RingMap(spec, spec, [(p + 1, (1,), t)]),
+                root_map(spec, n)]
+        assert modules_equal(pullback_ff(module, ident, module.lift), module), \
+            f"p={p} n={n}: identity pullback"
         for f in maps:
             for g in maps:
-                mid = random_lift(rng, spec)
-                fin = random_lift(rng, spec)
-                assert check_pullback_functorial(module, f, g, mid, fin), "functoriality"
-                checked += 1
-    for p, n, depth in [(3, 1, 1), (5, 1, 1), (5, 1, 2), (5, 2, 2)]:
-        rp = root_pullback(nil2(p, n), depth)
-        assert all(rp.connection[j].is_zero() for j in range(rp.spec.s)), "pole killing"
-        assert all(v.ok for v in run_all_checks(rp).values()), "root pullback validity"
-    return {"map_pairs": checked}
+                mid, fin = random_lift(rng, spec), random_lift(rng, spec)
+                assert check_pullback_functorial(module, f, g, mid, fin), \
+                    f"p={p} n={n}: functoriality"
+                pairs += 1
+    return {"map_pairs": pairs}
+
+
+def _pole_killing_section(cells):
+    """The root cover of depth 1, n and n + 1 kills every divisor-slot connection."""
+    for p, n in cells:
+        for name, module in check_corpus(p, n):
+            for depth in sorted({1, n, n + 1}):
+                rolled = root_pullback(reduce_mod_pm(module, min(depth, n)), depth)
+                assert all(rolled.connection[j].is_zero() for j in range(rolled.spec.s)), \
+                    f"{name} depth {depth}: pole killing"
+                assert _passes(rolled), f"{name} depth {depth}: root pullback validity"
+    assert all(mat.is_zero() for mat in root_pullback(nil2(5, 1), 1).connection), \
+        "nil2 p=5 n=1 depth 1: connection not identically 0"
+
+
+def _pullback_section():
+    pairs = _functoriality_section([(3, 1), (5, 2)])["map_pairs"]
+    _pole_killing_section([(3, 1), (5, 1), (5, 2)])
+    return {"map_pairs": pairs}
 
 
 def _negative_section():
@@ -166,23 +238,16 @@ def _negative_section():
 def run_selftest(quick: bool = False) -> dict:
     """Run every suite; returns a report dict with an overall `ok` flag."""
     if quick:
-        plan = {
-            "coefficients": lambda: _coeff_section(max_mn=6),
-            "taylor": lambda: _taylor_section(ns=(1,), per_cell=5),
-            "module_checks": lambda: _module_section([(3, 1), (5, 1)]),
-            "gluing": lambda: _glue_section([(3, 1), (5, 1)], triples=1, rs=2),
-            "pullback": _pullback_section,
-            "negative_controls": _negative_section,
-        }
+        max_mn, ns, per_cell, grid, count, elements = 6, (1,), 5, [(3, 1), (5, 1)], 1, 2
     else:
-        plan = {
-            "coefficients": _coeff_section,
-            "taylor": lambda: _taylor_section(ns=(1, 2), per_cell=15),
-            "module_checks": lambda: _module_section([(3, 1), (3, 2), (5, 1), (5, 2)]),
-            "gluing": lambda: _glue_section([(3, 1), (3, 2), (5, 1), (5, 2)],
-                                            triples=2, rs=3),
-            "pullback": _pullback_section,
-            "negative_controls": _negative_section,
-        }
+        max_mn, ns, per_cell, grid, count, elements = 8, (1, 2), 15, GRID_PN, 2, 3
+    plan = {
+        "coefficients": lambda: _coeff_section(max_mn),
+        "taylor": lambda: _taylor_section(ns, per_cell),
+        "module_checks": lambda: _module_section(grid),
+        "gluing": lambda: _glue_section(grid, count, elements),
+        "pullback": _pullback_section,
+        "negative_controls": _negative_section,
+    }
     sections = {name: _section(fn) for name, fn in plan.items()}
     return {"ok": all(s["ok"] for s in sections.values()), "sections": sections}

@@ -298,6 +298,14 @@ class TestCoeffs:
         assert code == 0
         assert json.loads(out)["tables"] == {"a[0,0]": {"0": 1}}
 
+    @pytest.mark.parametrize("bad", ["-1", "two"])
+    def test_negative_or_non_integer_max_is_refused(self, capsys, bad):
+        with pytest.raises(SystemExit) as info:
+            main(["coeffs", "--max", bad])
+        assert info.value.code == 2
+        out = capsys.readouterr()
+        assert not out.out and "--max" in out.err
+
 
 class TestSelftest:
     def test_quick_exit_0(self, capsys):
@@ -307,6 +315,23 @@ class TestSelftest:
         assert doc["ok"] is True
         assert set(doc["sections"]) == {"coefficients", "taylor", "module_checks",
                                         "gluing", "pullback", "negative_controls"}
+
+    def test_quick_runs_every_grid_section(self, monkeypatch):
+        """Every section function of the grid, each bullet among them, runs in
+        `selftest --quick`; the acceptance criteria call the same functions."""
+        from logff import selftest
+        names = {name for name in vars(selftest)
+                 if name.startswith("_") and name.endswith("_section") and name != "_section"}
+        assert {"_identity_section", "_cocycle_section", "_horizontal_section",
+                "_linearity_section", "_transport_section", "_nonlog_section",
+                "_functoriality_section", "_pole_killing_section"} <= names
+        ran = set()
+        for name in names:
+            real = getattr(selftest, name)
+            monkeypatch.setattr(selftest, name, lambda *args, _name=name, _real=real, **kwargs:
+                                ran.add(_name) or _real(*args, **kwargs))
+        assert selftest.run_selftest(quick=True)["ok"]
+        assert ran == names
 
 
 class TestNonIntegralExitCode:

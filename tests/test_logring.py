@@ -15,6 +15,8 @@ from logff.logring import (
     RingMap,
     RingSpec,
     SpecMismatchError,
+    _pack,
+    _unpack,
     design_shell_bound,
     falling,
     multi_indices,
@@ -623,18 +625,18 @@ def test_power_refuses_indices_beyond_the_cap(p, n, d):
     engine = DividedCoeffs(*(random_lift(rng, spec).as_ring_map() for _ in range(2)), width=0)
     cap = engine._cap
     assert cap == d * p * (engine.work_n - n + 1)
-    engine._power((cap,) + (0,) * (d - 1))
+    engine._power((cap,) + (0,) * (d - 1), engine.work_n)
     for index in [(cap + 1,) + (0,) * (d - 1), (cap,) + (1,) + (0,) * (d - 2)]:
         with pytest.raises(WorkingPrecisionError):
-            engine._power(index)
+            engine._power(index, engine.work_n)
         assert index not in engine._powers
 
 
 def _round_trip(engine, digits, d):
     keys = {}
     for exps in itertools.product(digits, repeat=d):
-        key = engine._pack(exps)
-        assert engine._unpack(key) == exps
+        key = _pack(exps, engine._half)
+        assert _unpack(key, engine._half, d) == exps
         assert keys.setdefault(key, exps) == exps   # no two vectors share a key
     return keys
 
@@ -646,14 +648,14 @@ def test_pack_round_trip_at_the_extreme_digits(p, n, d, s):
     engine = DividedCoeffs(*(random_lift(rng, spec).as_ring_map() for _ in range(2)), width=0)
     h = engine._half
     top = max(abs(e) for x in engine._x for keys, _ in x.values()
-              for key in keys for e in engine._unpack(key))
+              for key in keys for e in _unpack(key, h, d))
     assert h > top * engine._cap
     keys = _round_trip(engine, (-h, -h + 1, -1, 0, 1, h - 1, h), d)
     # linear: the key of a sum is the sum of the keys
     for a, b in itertools.product(list(keys)[::7], repeat=2):
         total = tuple(x + y for x, y in zip(keys[a], keys[b]))
         if all(abs(t) <= h for t in total):
-            assert engine._pack(total) == a + b
+            assert _pack(total, h) == a + b
 
 
 def test_pack_round_trip_exhaustive_at_half_width_one():
@@ -701,8 +703,8 @@ def _assert_memo_within_bounds(engine, reference, asked):
         assert held <= engine.work_n, index
         q = engine.p ** held
         want = {e: c % q for e, c in reference.power(index).terms.items() if c % q}
-        have = {engine._unpack(k): c for keys, coeffs in graded.values()
-                for k, c in zip(keys, coeffs)}
+        have = {_unpack(k, engine._half, engine.base_spec.d): c
+                for keys, coeffs in graded.values() for k, c in zip(keys, coeffs)}
         assert have == want, index
     for index, m in asked.items():
         got = engine._powers.get(index)
@@ -783,19 +785,6 @@ def test_power_asked_again_at_a_higher_precision_is_recomputed(maps, cell):
     assert low == _checked(DividedCoeffs(g1, g2, width=width), index, 0)
     assert (low, high) == (_outcome(reference, index, 0), _outcome(reference, index, top))
     _assert_memo_within_bounds(engine, reference, {index: engine.work_n})
-
-
-def test_power_without_a_precision_is_at_work_n():
-    spec = RingSpec(5, 3, 2, 2)
-    rng = random.Random("coeff-default-precision")
-    g1, g2 = (random_lift(rng, spec).as_ring_map() for _ in range(2))
-    engine = DividedCoeffs(g1, g2, width=1)
-    reference = ReferenceCoeffs(g1, g2, 1)
-    engine.coeff((1, 1), 0)
-    assert engine._powers[(1, 1)][0] == engine.n < engine.work_n
-    _assert_memo_within_bounds(engine, reference, {(1, 1): engine.n})
-    engine._power((1, 1))
-    _assert_memo_within_bounds(engine, reference, {(1, 1): engine.work_n})
 
 
 # -- the Taylor sum grouped by monomial against the per-index sum --------------
@@ -1016,14 +1005,15 @@ def test_coeff_in_shuffled_order_matches_fresh_engines():
         requests = [(index, e) for c in range(engine.stop) for index in multi_indices(d, c)
                     for e in range(min(width, c) + 1)]
         cells.append((engine, (g1, g2, width), requests))
-    assert cells[0][0]._base != cells[1][0]._base
+    assert cells[0][0]._half != cells[1][0]._half
     queue = [(k, req) for k, (_, _, requests) in enumerate(cells) for req in requests]
     random.Random(114).shuffle(queue)
     for k, (index, e) in queue:
         engine, args, _ = cells[k]
         assert engine.coeff(index, e) == DividedCoeffs(*args).coeff(index, e), (k, index, e)
     for engine, _, _ in cells:
-        assert all(engine._unpack(key) == exps for key, exps in engine._exps.items())
+        assert all(_unpack(key, engine._half, engine.base_spec.d) == exps
+                   for key, exps in engine._exps.items())
 
 
 # -- the trusted constructor keeps results canonical ---------------------------

@@ -1,6 +1,6 @@
 import random
 from collections import defaultdict
-from operator import add
+from operator import add, sub
 
 import pytest
 
@@ -57,6 +57,27 @@ def test_shape_errors():
         A * A
     with pytest.raises(ValueError):
         A.det()
+
+
+@pytest.mark.parametrize("op", [add, sub], ids=["add", "sub"])
+@pytest.mark.parametrize("other", [[[1], [2]], [[1, 2]], []],
+                         ids=["2x1", "1x2", "empty"])
+def test_add_and_sub_refuse_a_shape_mismatch(op, other):
+    # zip would silently truncate the result to the smaller shape
+    A = Matrix.from_ints(SPEC, [[1, 2], [3, 4]])
+    B = Matrix.from_ints(SPEC, other)
+    for left, right in [(A, B), (B, A)]:
+        with pytest.raises(ValueError, match="shape"):
+            op(left, right)
+
+
+@pytest.mark.parametrize("op", [add, sub], ids=["add", "sub"])
+def test_add_and_sub_refuse_a_spec_mismatch(op):
+    other = RingSpec(5, 3, 1, 1)
+    for left, right in [(Matrix.zeros(SPEC, 2, 2), Matrix.zeros(other, 2, 2)),
+                        (Matrix.zeros(SPEC, 0, 0), Matrix.zeros(other, 0, 0))]:
+        with pytest.raises(SpecMismatchError):
+            op(left, right)
 
 
 # -- zero-skipping products against a dense reference ---------------------------
