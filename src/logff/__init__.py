@@ -43,12 +43,10 @@ from .ffmodule import (
     ElementNotInFilError,
     InvariantViolationError,
     LogFFModule,
-    MorphismData,
     apply_connection,
     check_flat,
     check_griffiths,
     check_horizontal,
-    check_morphism,
     check_strong_div,
     divided_connection,
     falling_connection_op,
@@ -56,7 +54,6 @@ from .ffmodule import (
     root_map,
     root_pullback,
     run_all_checks,
-    solve_frobenius,
     tilde_embed,
 )
 from .transport import (

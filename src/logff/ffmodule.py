@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .exactnum import NonIntegralError, int_valp
+from .exactnum import NonIntegralError
 from .logring import FrobLift, RingElem, RingMap, RingSpec, SpecMismatchError
 from .matrices import Matrix
 
@@ -486,315 +486,3 @@ def root_pullback(module: LogFFModule, depth: int,
     from .transport import pullback_ff
     lift = target_lift if target_lift is not None else module.lift
     return pullback_ff(module, root_map(module.spec, depth), lift)
-
-
-@dataclass
-class MorphismData:
-    source: LogFFModule
-    target: LogFFModule
-    matrix: Matrix
-
-    def __post_init__(self):
-        if self.source.spec != self.target.spec:
-            raise SpecMismatchError("morphism between different specs")
-        if (self.matrix.nrows, self.matrix.ncols) != (self.target.rank, self.source.rank):
-            raise InvariantViolationError("morphism_shape", "")
-        self.matrix = _canonical_rows(self.matrix, self.target.torsions)
-        for i, vi in enumerate(self.target.basis):
-            for k, vk in enumerate(self.source.basis):
-                need = max(0, vi.torsion - vk.torsion)
-                if need and not self.matrix.entry(i, k).divisible_by_p(need):
-                    raise InvariantViolationError(
-                        "torsion_divisibility", f"morphism entry ({i},{k})")
-
-
-def _is_constant(x: RingElem) -> bool:
-    return all(all(e == 0 for e in exps) for exps in x.terms)
-
-
-def check_morphism(md: MorphismData) -> dict[str, CheckResult]:
-    """The four morphism verdicts: connection, filtration, strictness, frobenius."""
-    out = {"connection": _morphism_connection(md), "filtration": _morphism_filtration(md)}
-    if all(_is_constant(x) for row in md.matrix.rows for x in row):
-        out["strictness"] = _morphism_strictness(md)
-    else:
-        out["strictness"] = CheckResult(
-            "strictness", False, skipped=True,
-            reason="decidable here for constant matrices only")
-    out["frobenius"] = _morphism_frobenius(md, out["filtration"].ok)
-    return out
-
-
-def _morphism_connection(md: MorphismData) -> CheckResult:
-    failures = _horizontal_failures(md.matrix, md.target.connection, md.source.connection,
-                                    md.target.torsions)
-    return CheckResult("connection", not failures, failures)
-
-
-def _morphism_filtration(md: MorphismData) -> CheckResult:
-    failures = []
-    for i, vi in enumerate(md.target.basis):
-        for k, vk in enumerate(md.source.basis):
-            if vi.level < vk.level:
-                entry = _reduce_entry(md.matrix.entry(i, k), vi.torsion)
-                if not entry.is_zero():
-                    failures.append({"row": i, "col": k})
-    return CheckResult("filtration", not failures, failures)
-
-
-def _morphism_frobenius(md: MorphismData, filtration_ok: bool) -> CheckResult:
-    if not filtration_ok:
-        return CheckResult("frobenius", False, skipped=True,
-                           reason="requires filtration compatibility")
-    spec = md.source.spec
-    p = spec.p
-    frob = md.target.lift.as_ring_map()
-    if md.source.lift != md.target.lift:
-        raise SpecMismatchError("morphism checks require a common Frobenius lift")
-    # induced map on tilde modules: Htilde[i][k] = p^(lvl2_i - lvl1_k) H[i][k];
-    # the exponent is nonnegative wherever the entry is nonzero since the
-    # filtration check passed
-    rows = []
-    for i, vi in enumerate(md.target.basis):
-        row = []
-        for k, vk in enumerate(md.source.basis):
-            entry = md.matrix.entry(i, k)
-            if entry.is_zero() or vi.level < vk.level:
-                row.append(RingElem.zero(spec))
-            else:
-                row.append(frob.apply(entry).scale(p ** (vi.level - vk.level)))
-        rows.append(row)
-    lhs = md.target.frobenius * Matrix(spec, rows)
-    rhs = md.matrix * md.source.frobenius
-    loc = lhs.first_difference(rhs, md.target.torsions)
-    failures = [] if loc is None else [{"row": loc[0], "col": loc[1]}]
-    return CheckResult("frobenius", not failures, failures)
-
-
-def _morphism_strictness(md: MorphismData, cap: int = 200_000) -> CheckResult:
-    """Strictness H(V_1) cap Fil^i V_2 = H(Fil^i V_1), by enumeration.
-
-    Constant matrices decompose the condition monomial by monomial, so the
-    whole check reduces to the finite coefficient modules.  Non-constant
-    entries would need module-theoretic machinery out of scope here.
-    """
-    H = md.matrix
-    if not all(_is_constant(x) for row in H.rows for x in row):
-        raise ValueError("strictness check supports constant matrices only")
-    p = md.source.spec.p
-    src_tors = [p ** v.torsion for v in md.source.basis]
-    tgt_tors = [p ** v.torsion for v in md.target.basis]
-    size = 1
-    for t in src_tors:
-        size *= t
-    if size > cap:
-        raise ValueError(f"source module too large to enumerate ({size} elements)")
-    hmat = [[_const_value(x) for x in row] for row in H.rows]
-
-    def apply(vec):
-        return tuple(sum(hmat[i][k] * vec[k] for k in range(len(vec))) % tgt_tors[i]
-                     for i in range(len(tgt_tors)))
-
-    def vectors(active):
-        def rec(k):
-            if k == len(src_tors):
-                yield ()
-                return
-            rng = range(src_tors[k]) if active[k] else (0,)
-            for c in rng:
-                for rest in rec(k + 1):
-                    yield (c,) + rest
-        return rec(0)
-
-    a, b = md.source.hodge_range
-    failures = []
-    for i in range(a + 1, b + 1):
-        in_fil_src = [v.level >= i for v in md.source.basis]
-        low_rows = [r for r, v in enumerate(md.target.basis) if v.level < i]
-        fil_images = {apply(vec) for vec in vectors(in_fil_src)}
-        for vec in vectors([True] * len(src_tors)):
-            img = apply(vec)
-            if all(img[r] == 0 for r in low_rows) and img not in fil_images:
-                failures.append({"level": i, "witness": list(vec)})
-                break
-    return CheckResult("strictness", not failures, failures)
-
-
-def _const_value(x: RingElem) -> int:
-    if not x.terms:
-        return 0
-    return next(iter(x.terms.values()))
-
-
-# -- fixture generation by linear algebra -------------------------------------
-
-
-def _diagonalize(mat: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
-    """Integer diagonalization M -> U M V = D; returns (D, V).  Row ops are
-    not tracked since only the solution reparametrization x = V y is needed."""
-    m = [row[:] for row in mat]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    V = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-
-    def col_op(c1, c2, q):  # col c2 -= q * col c1
-        for r in range(nrows):
-            m[r][c2] -= q * m[r][c1]
-        for r in range(ncols):
-            V[r][c2] -= q * V[r][c1]
-
-    def swap_cols(c1, c2):
-        for r in range(nrows):
-            m[r][c1], m[r][c2] = m[r][c2], m[r][c1]
-        for r in range(ncols):
-            V[r][c1], V[r][c2] = V[r][c2], V[r][c1]
-
-    def swap_rows(r1, r2):
-        m[r1], m[r2] = m[r2], m[r1]
-
-    t = 0
-    while t < min(nrows, ncols):
-        # find pivot of minimal absolute value in the remaining block
-        pivot = None
-        best = None
-        for r in range(t, nrows):
-            for c in range(t, ncols):
-                if m[r][c] and (best is None or abs(m[r][c]) < best):
-                    best = abs(m[r][c])
-                    pivot = (r, c)
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        dirty = True
-        while dirty:
-            dirty = False
-            for r in range(t + 1, nrows):
-                if m[r][t]:
-                    q = m[r][t] // m[t][t]
-                    for c in range(t, ncols):
-                        m[r][c] -= q * m[t][c]
-                    if m[r][t]:
-                        swap_rows(t, r)
-                        dirty = True
-            for c in range(t + 1, ncols):
-                if m[t][c]:
-                    q = m[t][c] // m[t][t]
-                    col_op(t, c, q)
-                    if m[t][c]:
-                        swap_cols(t, c)
-                        dirty = True
-        t += 1
-    return m, V
-
-
-def nullspace_mod_pn(rows: list[list[int]], ncols: int, p: int, n: int) -> list[list[int]]:
-    """Generators of {x : M x = 0 mod p^n} as vectors of representatives."""
-    if not rows:
-        ident = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
-        return ident
-    D, V = _diagonalize(rows)
-    q = p ** n
-    gens = []
-    rank = min(len(D), ncols)
-    for i in range(ncols):
-        v = int_valp(D[i][i] if i < rank else 0, p)
-        scale = 1 if v >= n else p ** (n - v)
-        if scale < q:
-            gens.append([V[r][i] * scale % q for r in range(ncols)])
-    return [g for g in gens if any(g)]
-
-
-def solve_frobenius(spec: RingSpec, hodge_range: tuple[int, int], basis: list[BasisVector],
-                    connection: list[Matrix], lift: FrobLift,
-                    support: list[tuple[int, ...]], cap: int = 4096
-                    ) -> list[tuple[Matrix, bool]]:
-    """All Frobenius matrices with the given monomial support that are horizontal.
-
-    Horizontality delta_j(F) + A_j F = F A'_j is linear in F, so the solutions
-    form a module over Z/p^n; they are enumerated from kernel generators and
-    each is flagged with its strong-divisibility verdict.  Torsion
-    divisibility is built in by solving for the divided entries.
-    """
-    probe = LogFFModule(spec, hodge_range, basis, connection, lift,
-                        Matrix.zeros(spec, len(basis), len(basis)))
-    if not check_flat(probe).ok:
-        raise InvariantViolationError("flatness", "solve_frobenius needs a flat connection")
-    if not check_griffiths(probe).ok:
-        raise InvariantViolationError("griffiths", "solve_frobenius needs Griffiths transversality")
-    divided = divided_connection(probe)
-    r = len(basis)
-    p, n, q = spec.p, spec.n, spec.q
-    support = [tuple(e) for e in support]
-    unknowns = [(i, k, e) for i in range(r) for k in range(r) for e in support]
-    scale_for = {(i, k): p ** max(0, basis[i].torsion - basis[k].torsion)
-                 for i in range(r) for k in range(r)}
-
-    def unknown_matrix(i, k, exps):
-        m = Matrix.zeros(spec, r, r)
-        rows = [list(row) for row in m.rows]
-        rows[i][k] = RingElem.monomial(spec, exps, scale_for[(i, k)])
-        return Matrix(spec, rows)
-
-    eq_rows = []
-    for (i, k, exps) in unknowns:
-        F1 = unknown_matrix(i, k, exps)
-        effects = []
-        for j in range(spec.d):
-            eff = F1.log_derive(j + 1) + connection[j] * F1 - F1 * divided[j]
-            effects.append(eff)
-        eq_rows.append(effects)
-    # coordinates: (slot j, row i', col k', monomial E')
-    coords = []
-    seen = set()
-    for effects in eq_rows:
-        for j, eff in enumerate(effects):
-            for i2 in range(r):
-                for k2 in range(r):
-                    for exps in eff.entry(i2, k2).terms:
-                        key = (j, i2, k2, exps)
-                        if key not in seen:
-                            seen.add(key)
-                            coords.append(key)
-    matrix_rows = []
-    for key in coords:
-        j, i2, k2, exps = key
-        # equations hold in R/p^{e_{i2}}: scale by p^{n - e} to work mod p^n
-        lift_factor = p ** (n - basis[i2].torsion)
-        row = []
-        for u, effects in enumerate(eq_rows):
-            row.append(effects[j].entry(i2, k2).terms.get(exps, 0) * lift_factor % q)
-        matrix_rows.append(row)
-    gens = nullspace_mod_pn(matrix_rows, len(unknowns), p, n)
-    orders = [_vector_order(g, p, n) for g in gens]
-    total = 1
-    for o in orders:
-        total *= o
-    if total > cap:
-        raise ValueError(f"solution family too large to enumerate ({total})")
-    sols = {tuple([0] * len(unknowns))}
-    for g, o in zip(gens, orders):
-        sols = {tuple((x + t * gi) % q for x, gi in zip(s, g))
-                for s in sols for t in range(o)}
-    out = []
-    seen_matrices = set()
-    for s in sorted(sols):
-        rows = [[RingElem.zero(spec) for _ in range(r)] for _ in range(r)]
-        for (i, k, exps), c in zip(unknowns, s):
-            if c:
-                rows[i][k] = rows[i][k] + RingElem.monomial(spec, exps, c * scale_for[(i, k)])
-        module = LogFFModule(spec, hodge_range, basis, connection, lift, Matrix(spec, rows))
-        F = module.frobenius
-        key = str(F)
-        if key in seen_matrices:
-            continue
-        seen_matrices.add(key)
-        assert check_horizontal(module).ok
-        out.append((F, check_strong_div(module).ok))
-    return out
-
-
-def _vector_order(g: list[int], p: int, n: int) -> int:
-    """Additive order of a vector mod p^n: p^(n - min valuation of its entries)."""
-    q = p ** n
-    return p ** (n - min([n] + [int_valp(c % q, p) for c in g]))

@@ -221,9 +221,9 @@ def _pole_killing_section(cells):
         "nil2 p=5 n=1 depth 1: connection not identically 0"
 
 
-def _pullback_section():
-    pairs = _functoriality_section([(3, 1), (5, 2)])["map_pairs"]
-    _pole_killing_section([(3, 1), (5, 1), (5, 2)])
+def _pullback_section(functor_cells, pole_cells):
+    pairs = _functoriality_section(functor_cells)["map_pairs"]
+    _pole_killing_section(pole_cells)
     return {"map_pairs": pairs}
 
 
@@ -239,14 +239,16 @@ def run_selftest(quick: bool = False) -> dict:
     """Run every suite; returns a report dict with an overall `ok` flag."""
     if quick:
         max_mn, ns, per_cell, grid, count, elements = 6, (1,), 5, [(3, 1), (5, 1)], 1, 2
+        functor_cells, pole_cells = [(3, 1)], [(3, 1), (5, 1)]
     else:
         max_mn, ns, per_cell, grid, count, elements = 8, (1, 2), 15, GRID_PN, 2, 3
+        functor_cells, pole_cells = [(3, 1), (5, 2)], [(3, 1), (5, 1), (5, 2)]
     plan = {
         "coefficients": lambda: _coeff_section(max_mn),
         "taylor": lambda: _taylor_section(ns, per_cell),
         "module_checks": lambda: _module_section(grid),
         "gluing": lambda: _glue_section(grid, count, elements),
-        "pullback": _pullback_section,
+        "pullback": lambda: _pullback_section(functor_cells, pole_cells),
         "negative_controls": _negative_section,
     }
     sections = {name: _section(fn) for name, fn in plan.items()}

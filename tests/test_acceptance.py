@@ -9,7 +9,6 @@ import random
 import time
 
 from logff import selftest as grid
-from logff.exactnum import NonIntegralError
 from logff.ffmodule import tilde_embed
 from logff.fixtures import check_corpus, nil2, random_elem
 from logff.logring import FrobLift, RingElem
@@ -137,14 +136,10 @@ def test_a13_integrality():
     failures = []
     # the full verification grid must complete without a single NonIntegral
     # division; the selftest sections catch and report them individually
-    try:
-        report = grid.run_selftest(quick=False)
-    except NonIntegralError as exc:
-        failures.append(f"NonIntegral escaped: {exc}")
-    else:
-        for name, section in report["sections"].items():
-            if "non_integral" in section:
-                failures.append(f"{name}: {section['non_integral']}")
-            if not section["ok"]:
-                failures.append(f"{name}: section failed")
+    report = grid.run_selftest(quick=False)
+    for name, section in report["sections"].items():
+        if "non_integral" in section:
+            failures.append(f"{name}: {section['non_integral']}")
+        if not section["ok"]:
+            failures.append(f"{name}: section failed")
     _verdict("A13 (no NonIntegral divisions across the grid)", failures, started)

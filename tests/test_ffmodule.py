@@ -11,18 +11,15 @@ from logff.ffmodule import (
     GlueCache,
     InvariantViolationError,
     LogFFModule,
-    MorphismData,
     check_flat,
     check_griffiths,
     check_horizontal,
-    check_morphism,
     check_strong_div,
     divided_connection,
     falling_connection_op,
     reduce_mod_pm,
     root_pullback,
     run_all_checks,
-    solve_frobenius,
     tilde_embed,
 )
 from logff.fixtures import (
@@ -214,6 +211,13 @@ class TestHorizontal:
     def test_rank1_constant(self):
         assert check_horizontal(rank1_flat(3, 2, unit=2)).ok
 
+    def test_failure_on_a_laurent_slot_names_it(self):
+        # F = T_2 commutes with the zero connection, but delta_2(F) = T_2 != 0
+        mod = rank1_flat(5, 2, d=2, s=1)
+        mod = mod.with_frobenius(Matrix(mod.spec, [[RingElem.variable(mod.spec, 2)]]), mod.lift)
+        assert check_griffiths(mod).ok
+        assert check_horizontal(mod).failures == [{"slot": 2, "row": 0, "col": 0}]
+
 
 class TestStrongDiv:
     def test_identity(self):
@@ -359,124 +363,6 @@ class TestRootPullback:
     def test_precision_guard(self):
         with pytest.raises(InvariantViolationError):
             root_pullback(nil2(5, 2), 1)
-
-
-class TestMorphisms:
-    def test_identity_and_zero(self):
-        mod = nil2(5, 2)
-        ident = MorphismData(mod, mod, Matrix.identity(mod.spec, 2))
-        res = check_morphism(ident)
-        assert all(v.ok for v in res.values())
-        zero = MorphismData(mod, mod, Matrix.zeros(mod.spec, 2, 2))
-        res = check_morphism(zero)
-        assert all(v.ok for v in res.values())
-
-    def test_level_raise_strictness_fails(self):
-        # e_0 (level 0) mapped onto e_1 (level 1): filtration compatible but
-        # not strict, by brute-force image/intersection computation
-        mod = nil2(5, 1)
-        H = Matrix.from_ints(mod.spec, [[0, 0], [1, 0]])
-        res = check_morphism(MorphismData(mod, mod, H))
-        assert res["filtration"].ok
-        assert not res["strictness"].ok
-        assert res["strictness"].failures[0]["level"] == 1
-
-    def test_connection_failure_names_its_slot(self):
-        # H = T_2 commutes with the zero connection but delta_2(H) = T_2 != 0
-        mod = rank1_flat(5, 2, d=2, s=1)
-        H = Matrix(mod.spec, [[RingElem.variable(mod.spec, 2)]])
-        res = check_morphism(MorphismData(mod, mod, H))
-        assert res["connection"].failures == [{"slot": 2, "row": 0, "col": 0}]
-
-    def test_filtration_violation_reported(self):
-        mod = nil2(5, 1)
-        H = Matrix.from_ints(mod.spec, [[0, 1], [0, 0]])  # e_1 -> e_0 drops level
-        res = check_morphism(MorphismData(mod, mod, H))
-        assert not res["filtration"].ok
-        assert res["frobenius"].skipped
-
-    def test_scaled_identity_commutes(self):
-        mod = nil2(5, 2)
-        H = Matrix.from_ints(mod.spec, [[3, 0], [0, 3]])
-        res = check_morphism(MorphismData(mod, mod, H))
-        assert all(v.ok for v in res.values())
-
-    def test_torsion_divisibility_enforced(self):
-        mod = mixed_torsion(5, 2)
-        with pytest.raises(InvariantViolationError):
-            MorphismData(mod, mod, Matrix.from_ints(mod.spec, [[1, 0], [1, 1]]))
-
-    def test_inclusion_of_rank1_into_nil2(self):
-        # e -> e_0 is a genuine morphism exactly when the Frobenius units match
-        target = nil2(5, 2)
-        spec = target.spec
-        for unit, expect in [(1, True), (2, False)]:
-            source = rank1_flat(5, 2, unit=unit)
-            src = LogFFModule(spec, (0, 1),
-                              [list(source.basis)[0]], list(source.connection),
-                              target.lift, source.frobenius)
-            H = Matrix.from_ints(spec, [[1], [0]])
-            res = check_morphism(MorphismData(src, target, H))
-            assert res["connection"].ok and res["filtration"].ok
-            assert res["strictness"].ok
-            assert res["frobenius"].ok is expect
-
-    def test_strictness_skipped_for_polynomial_entries(self):
-        from logff.ffmodule import _morphism_strictness
-        mod = nil2(5, 1)
-        H = Matrix(mod.spec, [[RingElem.variable(mod.spec, 1), RingElem.zero(mod.spec)],
-                              [RingElem.zero(mod.spec), RingElem.one(mod.spec)]])
-        res = check_morphism(MorphismData(mod, mod, H))
-        assert res["strictness"].skipped
-        assert res["connection"].ok is False  # T1 * nilpotent does not commute
-        with pytest.raises(ValueError):
-            _morphism_strictness(MorphismData(mod, mod, H))
-
-
-class TestSolveFrobenius:
-    def test_nil2_constant_family_contains_identity(self):
-        mod = nil2(5, 1)
-        sols = solve_frobenius(mod.spec, mod.hodge_range, list(mod.basis),
-                               list(mod.connection), mod.lift, [(0,)])
-        matrices = [str(F) for F, _ in sols]
-        assert str(Matrix.identity(mod.spec, 2)) in matrices
-        # family is diag(c, c) + b*N: strong divisibility exactly when c is a unit
-        for F, strongly in sols:
-            assert F.entry(0, 0) == F.entry(1, 1)
-            assert F.entry(1, 0).is_zero()
-            assert strongly is (F.entry(0, 0).unit_monomial_mod_p() is not None)
-        assert len(sols) == 25
-
-    def test_rank1_zero_connection_all_constants(self):
-        mod = rank1_flat(3, 2)
-        sols = solve_frobenius(mod.spec, mod.hodge_range, list(mod.basis),
-                               list(mod.connection), mod.lift, [(0,)])
-        assert len(sols) == 9
-        assert sum(1 for _, strongly in sols if strongly) == 6
-
-    def test_nil2_with_linear_support_collapses_to_constants(self):
-        # allowing entries a + b*T adds no solutions: the derivation term
-        # pins every T-coefficient to zero
-        mod = nil2(5, 1)
-        sols = solve_frobenius(mod.spec, mod.hodge_range, list(mod.basis),
-                               list(mod.connection), mod.lift, [(0,), (1,)])
-        assert len(sols) == 25
-        for F, _ in sols:
-            for i in range(2):
-                for k in range(2):
-                    assert all(e == (0,) for e in F.entry(i, k).terms), str(F)
-
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_rank1_nonzero_lambda_only_zero(self, n):
-        # nabla(e) = 2 e (x) dlog T: the constraint lambda (1 - p) F = 0
-        # forces F = 0 since 1 - p is a unit
-        spec = RingSpec(5, n, 1, 1)
-        basis = [BasisVector("e", 0, n)]
-        conn = [Matrix.from_ints(spec, [[2]])]
-        sols = solve_frobenius(spec, (0, 0), basis, conn, FrobLift.standard(spec), [(0,)])
-        assert len(sols) == 1
-        F, strongly = sols[0]
-        assert F.is_zero() and not strongly
 
 
 class TestConstructorInvariants:
