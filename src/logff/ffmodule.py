@@ -79,9 +79,10 @@ class GlueCache:
     one vector per index below stop_shell; the last DividedCoeffs with its
     key; the divided connections (divided_connection) of at most
     MAX_DIVIDED lifts, the oldest dropped first; and whether the module
-    passed the flatness and Griffiths gate.  A failure is never remembered:
-    a failing gate or a NonIntegralError of divided_connection raises on
-    every call.
+    passed the flatness and Griffiths gate, which either the gate of a
+    gluing or `run_all_checks` sets once both pass.  A failure is never
+    remembered: a failing gate or a NonIntegralError of divided_connection
+    raises on every call.
     """
 
     # a module file names a handful of lifts (every shipped one at most four)
@@ -345,7 +346,8 @@ def _divided_connection(module: LogFFModule, lift: FrobLift) -> list[Matrix]:
     p, d, r = spec.p, spec.d, module.rank
     levels = module.levels
     frob = lift.as_ring_map()
-    winv = [lift.w(j).invert_unit() for j in range(1, d + 1)]
+    # w_j is the unit part of frob(T_j); the map keeps its inverse
+    winv = [frob.unit_inverse(j) for j in range(1, d + 1)]
     # D[l][j] = delta_l(u_j) * w_j^{-1}, the frame correction of the lift
     correction = [[lift.u[j].log_derive(l + 1) * winv[j] for j in range(d)] for l in range(d)]
     out = []
@@ -404,11 +406,14 @@ def run_all_checks(module: LogFFModule) -> dict[str, CheckResult]:
 
     The divided connection presumes an integrable connection satisfying
     Griffiths transversality, so the horizontality verdict is reported as
-    skipped when flatness or transversality fails.
+    skipped when flatness or transversality fails.  When both pass, the
+    module's GlueCache records that it passed the gluing gate, so a later
+    gluing of the module does not check them again.
     """
     flat = check_flat(module)
     griffiths = check_griffiths(module)
     if flat.ok and griffiths.ok:
+        module._glue_cache.valid_for_glue = True
         horizontal = check_horizontal(module)
     else:
         horizontal = CheckResult("horizontal", False, skipped=True,

@@ -67,7 +67,11 @@ class WorkingPrecisionError(AssertionError):
 
 @dataclass(frozen=True)
 class RingSpec:
-    """Shape of the chart: prime p, precision n, d slots of which the first s are polynomial."""
+    """Shape of the chart: prime p, precision n, d slots of which the first s are polynomial.
+
+    A spec is frozen, so it keeps what it derives from its fields: p^n, and
+    the constants 0 and 1 that `RingElem.zero` and `RingElem.one` hand out.
+    """
 
     p: int
     n: int
@@ -85,6 +89,14 @@ class RingSpec:
     @cached_property
     def q(self) -> int:
         return self.p ** self.n
+
+    @cached_property
+    def _zero(self) -> "RingElem":
+        return RingElem._trusted(self, {})
+
+    @cached_property
+    def _one(self) -> "RingElem":
+        return RingElem(self, {(0,) * self.d: 1})
 
     def with_precision(self, n: int) -> "RingSpec":
         """The spec at precision n; the spec itself at its own precision (it is frozen)."""
@@ -204,7 +216,8 @@ class RingElem:
 
     @classmethod
     def zero(cls, spec: RingSpec) -> "RingElem":
-        return cls(spec, {})
+        """The zero of spec's ring: one shared element per spec (elements are immutable)."""
+        return spec._zero
 
     @classmethod
     def const(cls, spec: RingSpec, c: int) -> "RingElem":
@@ -212,7 +225,8 @@ class RingElem:
 
     @classmethod
     def one(cls, spec: RingSpec) -> "RingElem":
-        return cls.const(spec, 1)
+        """The one of spec's ring: one shared element per spec (elements are immutable)."""
+        return spec._one
 
     @classmethod
     def variable(cls, spec: RingSpec, j: int, power: int = 1) -> "RingElem":
@@ -453,7 +467,10 @@ class RingMap:
     divided-power Taylor machinery needs.
 
     A map is immutable.  It memoizes what it derives from itself: the inverses
-    of its slot images, and its copies at other precisions (`with_precision`
+    of its slot images; the unit part c_j * (1 + p*h_j) of each slot image,
+    built with the map, and that unit's inverse, built on the first request
+    (`unit`, `unit_inverse`), which `DividedCoeffs` and the divided
+    connection read; and its copies at other precisions (`with_precision`
     builds each precision once per map and returns the map itself at its own
     precision).
     """
@@ -483,13 +500,13 @@ class RingMap:
                 raise SpecMismatchError("unit part lives in the wrong ring")
             norm.append((c, exps, h))
         self.images = norm
-        self._elems = [self._assemble(c, exps, h) for c, exps, h in norm]
+        one = RingElem.one(target)
+        self._units = [(one + h.scale(target.p)).scale(c) for c, _, h in norm]
+        self._elems = [RingElem.monomial(target, exps) * unit
+                       for (_, exps, _), unit in zip(norm, self._units)]
         self._inv_elems: dict[int, RingElem] = {}
+        self._unit_invs: dict[int, RingElem] = {}
         self._at_precision: dict[int, RingMap] = {}
-
-    def _assemble(self, c, exps, h):
-        one_plus = RingElem.one(self.target) + h.scale(self.target.p)
-        return RingElem.monomial(self.target, exps, c) * one_plus
 
     @classmethod
     def identity(cls, spec: RingSpec) -> "RingMap":
@@ -503,6 +520,17 @@ class RingMap:
     def image_elem(self, j: int) -> RingElem:
         """f(T_j) for the 1-based slot j."""
         return self._elems[j - 1]
+
+    def unit(self, j: int) -> RingElem:
+        """The unit part c_j * (1 + p*h_j) of f(T_j), for the 1-based slot j."""
+        return self._units[j - 1]
+
+    def unit_inverse(self, j: int) -> RingElem:
+        """The inverse of unit(j), computed on the first request and kept."""
+        inv = self._unit_invs.get(j)
+        if inv is None:
+            inv = self._unit_invs[j] = self.unit(j).invert_unit()
+        return inv
 
     def _image_pow(self, j0: int, e: int) -> RingElem:
         if e >= 0:
@@ -630,6 +658,7 @@ def design_shell_bound(p: int, n: int, width: int) -> int:
     return width + ceil(n * (p - 1) / (p - 2))
 
 
+@cache
 def stop_shell(p: int, n: int, width: int) -> int:
     """First shell c from which on every divided term provably vanishes mod p^n.
 
@@ -638,7 +667,7 @@ def stop_shell(p: int, n: int, width: int) -> int:
     and the bound is nondecreasing for c >= width, so once it reaches n all
     later shells are zero.  This makes the truncation a checked fact rather
     than an article of faith; stopping on an observed zero shell alone could
-    terminate too early.
+    terminate too early.  A pure function of its arguments, so it is cached.
     """
     c = max(width, 1)
     while c - (c - 1) // (p - 1) - min(width, c) < n:
@@ -667,6 +696,7 @@ def multi_factorial(index: tuple[int, ...]) -> int:
     return out
 
 
+@cache
 def work_precision(p: int, base_n: int, width: int) -> int:
     """The ceiling work_n of the precision for divided coefficients reduced into Z/p^base_n.
 
@@ -674,7 +704,7 @@ def work_precision(p: int, base_n: int, width: int) -> int:
     guaranteed in the numerator, and v_p(I!) over the computed shells is
     bounded by stop_shell // (p - 1).  work_n bounds what any one coefficient
     may need; `DividedCoeffs` keeps each numerator only to the precision its
-    own division reads, which is at most work_n.
+    own division reads, which is at most work_n.  Cached, like stop_shell.
     """
     return base_n + width + stop_shell(p, base_n, width) // (p - 1) + 1
 
@@ -821,9 +851,17 @@ class DividedCoeffs:
     comparison relaxed: every term of every requested coefficient is still
     divided and checked.
 
-    With mode="difference" the base quantity is x_j = g1(T_j) - g2(T_j)
-    instead of the ratio minus one; this is the coefficient stream of the
-    classical (non-logarithmic) comparison formula.
+    In the default mode="ratio" the base quantity is
+    x_j = (num_j - den_j) * den_j^(-1), with num_j and den_j the unit parts of
+    g1(T_j) and g2(T_j) (`RingMap.unit`, inverse `RingMap.unit_inverse`) at
+    the working precision.  In Z/p^work_n this is exactly
+    num_j * den_j^(-1) - 1, because den_j * den_j^(-1) = 1 there; when
+    num_j = den_j, x_j = 0 and no inverse is computed.  With
+    mode="difference" the base quantity is x_j = g1(T_j) - g2(T_j) instead;
+    this is the coefficient stream of the classical (non-logarithmic)
+    comparison formula.  In either mode `all_zero` records whether every x_j
+    is 0, as it is for two equal maps: then x^I = 0 for every I != 0, and
+    every coefficient beyond shell 0 is exactly 0 with nothing to divide.
 
     base_n is the precision of the reduced output; the maps are moved to the
     working precision from whatever precision they carry.  Maps assembled by
@@ -857,27 +895,26 @@ class DividedCoeffs:
         self.stop = stop_shell(p, n, width)
         self.design_bound = design_shell_bound(p, n, width)
         self.work_n = work_precision(p, n, width)
-        wspec = tgt.with_precision(self.work_n)
         g1w = g1.with_precision(self.work_n)
         g2w = g2.with_precision(self.work_n)
-        one = RingElem.one(wspec)
         self._valuation_of = _valuation_table(p, self.work_n)
         xs = []
         for j in range(g1.source.d):
             if mode == "ratio":
-                c1, e1, h1 = g1w.images[j]
-                c2, e2, h2 = g2w.images[j]
-                if e1 != e2:
+                if g1w.images[j][1] != g2w.images[j][1]:
                     raise LiftMismatchError(
                         f"images of slot {j + 1} have different monomial parts")
-                num = (one + h1.scale(p)).scale(c1)
-                den = (one + h2.scale(p)).scale(c2)
-                xj = num * den.invert_unit() - one
+                num, den = g1w.unit(j + 1), g2w.unit(j + 1)
+                if num == den:
+                    xj = RingElem.zero(g2w.target)
+                else:
+                    xj = (num - den) * g2w.unit_inverse(j + 1)
             else:
                 xj = g1w.image_elem(j + 1) - g2w.image_elem(j + 1)
             if not xj.divisible_by_p():
                 raise LiftMismatchError(f"maps do not agree mod p on slot {j + 1}")
             xs.append(xj)
+        self.all_zero = all(xj.is_zero() for xj in xs)
         d = g1.source.d
         self._cap = d * p * (self.work_n - n + 1)
         self._half = max(map(_top_exponent, xs), default=0) * self._cap + 1
@@ -936,7 +973,9 @@ class DividedCoeffs:
         mod p^v is checked (NonIntegralError if nonzero) and its quotient by
         p^v, taken mod p^n, is the coefficient.  A power memoized at a higher
         precision serves as well.  Each (index, p_exponent) is divided once;
-        later requests reuse it.
+        later requests reuse it.  A power that is 0 mod p^(n+v) has nothing to
+        divide: the coefficient is 0, without the inverse of the unit part of
+        I! * p^e.
         """
         key = (index, p_exponent)
         got = self._coeffs.get(key)
@@ -948,13 +987,17 @@ class DividedCoeffs:
             raise WorkingPrecisionError(
                 f"coefficient {index} / p^{p_exponent} needs precision {n + v}, "
                 f"working precision is {self.work_n}")
+        power = self._power(index, n + v)
+        if not power:
+            self._coeffs[key] = RingElem.zero(self.base_spec)
+            return self._coeffs[key]
         pv = p ** v
         # I! * p^e = p^v * unit; invert the unit once for the whole coefficient
         unit_inv = reduce_mod(Fraction(pv, multi_factorial(index) * p ** p_exponent), p, n)
         q, d, half = self.base_spec.q, self.base_spec.d, self._half
         decoded = self._exps
         out = {}
-        for w, (keys, coeffs) in self._power(index, n + v).items():
+        for w, (keys, coeffs) in power.items():
             if w >= v + n:
                 continue   # divisible by p^(v+n): the quotient vanishes mod p^n
             for k, c in zip(keys, coeffs):

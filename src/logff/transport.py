@@ -16,6 +16,7 @@ exact-division layer, so the integrality claims are verified at runtime.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .ffmodule import (
@@ -68,6 +69,12 @@ def _require_valid_for_glue(module: LogFFModule):
     cache.valid_for_glue = True
 
 
+@functools.cache
+def _shells(d: int, stop: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The multi-indices of length d, grouped by shell |I| = 0 .. stop - 1."""
+    return tuple(tuple(multi_indices(d, c)) for c in range(stop))
+
+
 def _glue_columns(module: LogFFModule, g1: RingMap, g2: RingMap,
                   vectors: list[tuple[int, list[RingElem]]], mode: str = "ratio"):
     """Shared engine: apply the gluing formula to (level, vector) pairs.
@@ -83,6 +90,11 @@ def _glue_columns(module: LogFFModule, g1: RingMap, g2: RingMap,
     module's GlueCache supplies the operator vectors of its basis vectors
     and the coefficients of a repeated (g1, g2, mode); any other vector gets
     an operator memo that lives for this call only.
+
+    When every x_j of the engine is 0 (two equal maps), only shell 0 is
+    summed: every later coefficient is x^I / (I! * p^e) with x^I = 0, which
+    is exactly 0 and has no division to check, so no later shell adds a
+    term or reaches a Fil check.
     """
     a, b = module.hodge_range
     base_n = module.spec.n
@@ -103,7 +115,7 @@ def _glue_columns(module: LogFFModule, g1: RingMap, g2: RingMap,
     levels = module.levels
     connection = list(module.connection)
     basis = [module.basis_vector(k) for k in range(module.rank)]
-    shells = [tuple(multi_indices(module.spec.d, c)) for c in range(coeffs.stop)]
+    shells = _shells(module.spec.d, 1 if coeffs.all_zero else coeffs.stop)
     columns = []
     for i, vec in vectors:
         if vec in basis:

@@ -787,6 +787,145 @@ def test_power_asked_again_at_a_higher_precision_is_recomputed(maps, cell):
     _assert_memo_within_bounds(engine, reference, {index: engine.work_n})
 
 
+# -- the ratio x_j, the all-zero flag and the per-map unit memo ----------------
+
+
+def _engine_x(engine):
+    """The x_j of an engine, decoded from its packed graded form."""
+    d = engine.base_spec.d
+    return [{_unpack(k, engine._half, d): c
+             for keys, coeffs in graded.values() for k, c in zip(keys, coeffs)}
+            for graded in engine._x]
+
+
+def _assert_x_and_coeffs_match(g1, g2, width, base_n=None):
+    """Every x_j equals the reference num * den^-1 - 1, the all-zero flag says
+    whether they all vanish, and every coefficient the shell sum uses agrees."""
+    engine = DividedCoeffs(g1, g2, width=width, base_n=base_n)
+    reference = ReferenceCoeffs(g1, g2, width, base_n=base_n)
+    assert _engine_x(engine) == [x.terms for x in reference.x]
+    assert engine.all_zero == all(x.is_zero() for x in reference.x)
+    _assert_engines_agree(g1, g2, width, base_n=base_n)
+    return engine, reference
+
+
+_RATIO_CELLS = ([(_taylor_cell_maps, cell, 0) for cell in [(5, 8, 2), (7, 6, 2), (3, 8, 2)]]
+                + [(_rank3_chain_maps, cell, 2) for cell in [(5, 2, 3), (7, 3, 3)]])
+
+
+@pytest.mark.parametrize("maps,cell,width", _RATIO_CELLS,
+                         ids=[f"{maps.__name__[1:-5]}-{p},{n},{d}"
+                              for maps, (p, n, d), _ in _RATIO_CELLS])
+def test_ratio_x_is_the_reference_ratio_minus_one(maps, cell, width):
+    p, n, d = cell
+    g1, g2 = maps(p, n, d, random.Random(f"ratio-x:{p},{n},{d}"))
+    engine, _ = _assert_x_and_coeffs_match(g1, g2, width)
+    assert not engine.all_zero
+
+
+@pytest.mark.parametrize("p,n,d,s", [(5, 2, 2, 1), (3, 2, 2, 0), (7, 2, 2, 1)])
+def test_ratio_x_on_pullback_composites(p, n, d, s):
+    """The composites pullback_ff glues along a map with constants c != 1 and
+    Laurent monomial parts: Phi' o f against f o Phi, at the working precision."""
+    spec = RingSpec(p, n, d, s)
+    rng = random.Random(f"ratio-pullback:{p},{n},{d},{s}")
+    width = 1
+    work_n = work_precision(p, n, width)
+    images = [(2, (1, 0) if s else (1, -1), random_elem(rng, spec)),
+              (4, (0, -1), random_elem(rng, spec))]
+    f_work = RingMap(spec, spec, images).with_precision(work_n)
+    target_lift, lift = random_lift(rng, spec), random_lift(rng, spec)
+    g1 = f_work.then(target_lift.with_precision(work_n).as_ring_map())
+    g2 = lift.with_precision(work_n).as_ring_map().then(f_work)
+    assert any(c != 1 for c, _, _ in g1.images)
+    assert any(e < 0 for _, exps, _ in g1.images for e in exps)
+    engine, _ = _assert_x_and_coeffs_match(g1, g2, width, base_n=n)
+    assert not engine.all_zero
+
+
+@pytest.mark.parametrize("p,n,d,s", [(5, 3, 2, 1), (3, 3, 3, 0), (7, 2, 3, 3)])
+def test_ratio_x_on_lifts_equal_on_some_slots(p, n, d, s):
+    """x_j = 0 exactly on the slots where the two lifts agree; the flag is set
+    only when they agree on every slot, equal objects or not."""
+    spec = RingSpec(p, n, d, s)
+    rng = random.Random(f"ratio-partial:{p},{n},{d},{s}")
+    l1 = random_lift(rng, spec)
+    for equal in range(d + 1):
+        u = list(l1.u[:equal]) + [random_elem(rng, spec, max_exp=2) for _ in range(d - equal)]
+        l2 = FrobLift(spec, u)
+        engine, reference = _assert_x_and_coeffs_match(l1.as_ring_map(), l2.as_ring_map(), 1)
+        assert [x.is_zero() for x in reference.x][:equal] == [True] * equal
+        assert engine.all_zero == (equal == d)
+    same, _ = _assert_x_and_coeffs_match(l1.as_ring_map(), l1.as_ring_map(), 1)
+    assert same.all_zero
+    for c in range(1, same.stop):
+        for index in multi_indices(d, c):
+            assert same.coeff(index, min(1, c)).is_zero()
+
+
+def test_equal_maps_invert_nothing_and_a_shared_g2_is_inverted_once(monkeypatch):
+    spec = RingSpec(5, 3, 2, 1)
+    rng = random.Random("unit-memo")
+    l1a, l1b, l2 = (random_lift(rng, spec) for _ in range(3))
+    g1a, g1b, g2 = (lift.as_ring_map() for lift in (l1a, l1b, l2))
+    twin = FrobLift(spec, [RingElem(spec, dict(u.terms)) for u in l2.u]).as_ring_map()
+    inverted = []
+    real = RingElem.invert_unit
+    monkeypatch.setattr(RingElem, "invert_unit", lambda x: inverted.append(x) or real(x))
+    DividedCoeffs(g2, g2, width=1)
+    DividedCoeffs(twin, g2, width=1)
+    assert inverted == []
+    first = DividedCoeffs(g1a, g2, width=1)
+    second = DividedCoeffs(g1b, g2, width=1)
+    g2w = g2.with_precision(first.work_n)
+    assert inverted == [g2w.unit(1), g2w.unit(2)]
+    monkeypatch.undo()
+    for engine, g1 in [(first, g1a), (second, g1b)]:
+        reference = ReferenceCoeffs(g1, g2, 1)
+        assert _engine_x(engine) == [x.terms for x in reference.x]
+
+
+def test_unit_and_unit_inverse_per_slot():
+    spec = RingSpec(5, 2, 3, 1)
+    rng = random.Random("unit-per-slot")
+    images = [(2, (1, 0, 0), random_elem(rng, spec)), (3, (0, 1, -1), random_elem(rng, spec)),
+              (4, (0, 0, 2), random_elem(rng, spec))]
+    f = RingMap(spec, spec, images)
+    one = RingElem.one(spec)
+    for j in (3, 1, 2):   # in no slot order, so a memo that ignores the slot shows
+        c, exps, h = images[j - 1]
+        assert f.unit(j) == (one + h.scale(5)).scale(c)
+        assert f.image_elem(j) == RingElem.monomial(spec, exps) * f.unit(j)
+        assert f.unit_inverse(j) is f.unit_inverse(j)
+        assert f.unit(j) * f.unit_inverse(j) == one
+
+
+def test_coeff_of_a_vanishing_power_divides_nothing(monkeypatch):
+    """A power that is 0 mod p^(n+v) gives 0 without reduce_mod; a request past
+    the working precision still raises WorkingPrecisionError first."""
+    import logff.logring as logring
+    spec = RingSpec(5, 2, 2, 1)
+    rng = random.Random("empty-power")
+    g1, g2 = random_lift(rng, spec).as_ring_map(), random_lift(rng, spec).as_ring_map()
+    calls = []
+    monkeypatch.setattr(logring, "reduce_mod", lambda *a: calls.append(a) or reduce_mod(*a))
+    same = DividedCoeffs(g1, g1, width=1)
+    other = DividedCoeffs(g1, g2, width=1)
+    reference = ReferenceCoeffs(g1, g2, 1)
+    for index in [(1, 0), (0, 1), (1, 1), (2, 0)]:
+        assert same.coeff(index, 1).is_zero()
+    assert other.coeff((2, 0), 0) == reference.coeff((2, 0), 0) == RingElem.zero(spec)
+    assert calls == []
+    assert other.coeff((1, 0), 1) == reference.coeff((1, 0), 1)
+    assert len(calls) == 1
+    for engine in (same, other):
+        for index in [(1, 0), (2, 0), (5, 0), (0, 5)]:
+            for e in range(engine.work_n - engine.n + 1, engine.work_n + 2):
+                with pytest.raises(WorkingPrecisionError):
+                    engine.coeff(index, e)
+                assert (index, e) not in engine._coeffs
+
+
 # -- the Taylor sum grouped by monomial against the per-index sum --------------
 
 

@@ -1,3 +1,4 @@
+import importlib
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from logff.ffmodule import (
     BasisVector,
     InvariantViolationError,
     LogFFModule,
+    _divided_connection,
     _ordinary_connection_op,
     root_map,
     run_all_checks,
@@ -19,7 +21,17 @@ from logff.fixtures import (
     random_elem,
     random_lift,
 )
-from logff.logring import FrobLift, RingElem, RingMap, RingSpec, multi_indices, stop_shell
+from logff.logring import (
+    DividedCoeffs,
+    FrobLift,
+    RingElem,
+    RingMap,
+    RingSpec,
+    design_shell_bound,
+    multi_indices,
+    stop_shell,
+    work_precision,
+)
 from logff.matrices import Matrix
 from logff.modfile import parse_module_file
 from logff.transport import (
@@ -499,6 +511,137 @@ class TestGlueCache:
                 for idx in multi_indices(mod.spec.d, c):
                     assert _ordinary_connection_op(conn, vec, idx, memo=memo) == \
                         _ordinary_direct(conn, vec, idx)
+
+
+# -- equal lifts, shared constants and the gate set by run_all_checks ----------
+
+transport_module = importlib.import_module("logff.transport")
+
+
+class _FullSweep(DividedCoeffs):
+    """The engine with its all-zero flag forced off, so that every shell is summed."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.all_zero = False
+
+
+def _recording_operator(monkeypatch, call, engine=DividedCoeffs):
+    """call() with `engine` as the gluing's coefficient engine, and the indices
+    of every connection operator call it made."""
+    indices = []
+    with monkeypatch.context() as patch:
+        for name in ("falling_connection_op", "_ordinary_connection_op"):
+            real = getattr(transport_module, name)
+            patch.setattr(transport_module, name,
+                          lambda conn, vec, index, *, memo, real=real:
+                          indices.append(index) or real(conn, vec, index, memo=memo))
+        patch.setattr(transport_module, "DividedCoeffs", engine)
+        return call(), indices
+
+
+def _equal_lift_pairs(spec, rng):
+    """The same object twice, and equal lifts that are distinct objects."""
+    lift = random_lift(rng, spec)
+    twin = FrobLift(spec, [RingElem(spec, dict(u.terms)) for u in lift.u])
+    standard = FrobLift.standard(spec)
+    return [(lift, lift), (lift, twin), (standard, FrobLift.standard(spec))]
+
+
+@pytest.mark.parametrize("name,factory", [
+    ("nil2", lambda: nil2(5, 2)),
+    ("nil2_s0", lambda: nil2(5, 2, s=0)),
+    ("rank3_d3", lambda: rank3_chain(7, 3, d=3)),
+    ("mixed", lambda: mixed_torsion(5, 2)),
+])
+def test_equal_lifts_sum_shell_zero_only(name, factory, monkeypatch):
+    probe = factory()
+    spec, (a, b) = probe.spec, probe.hodge_range
+    origin = (0,) * spec.d
+    for l1, l2 in _equal_lift_pairs(spec, random.Random(f"equal-lifts:{name}")):
+        g, indices = _recording_operator(monkeypatch, lambda: glue_map(factory(), l1, l2))
+        assert set(indices) == {origin}
+        assert g.matrix == Matrix.identity(spec, probe.rank)
+        full, full_indices = _recording_operator(
+            monkeypatch, lambda: glue_map(factory(), l1, l2), _FullSweep)
+        assert any(sum(index) > 0 for index in full_indices)   # the sweep reaches later shells
+        assert full.matrix == g.matrix
+        assert (g.shells_used, g.design_bound) == (full.shells_used, full.design_bound) \
+            == (stop_shell(spec.p, spec.n, b - a), design_shell_bound(spec.p, spec.n, b - a))
+        mod = factory()
+        assert check_glue_identity(mod, l1) and check_glue_horizontal(mod, l1, l2)
+        if spec.s == 0:
+            assert check_nonlog_agreement(mod, l1, l2)
+            (matrix, coeffs), classical = _recording_operator(
+                monkeypatch, lambda: transport_module._basis_glue(
+                    factory(), l1.as_ring_map(), l2.as_ring_map(), mode="difference"))
+            assert coeffs.all_zero and set(classical) == {origin}
+            assert matrix == g.matrix
+
+
+@pytest.mark.parametrize("factory", [lambda: nil2(5, 2), lambda: rank3_chain(5, 2, d=2)])
+def test_pullback_along_the_identity_glues_equal_composites(factory):
+    mod = factory()
+    a, b = mod.hodge_range
+    work_n = work_precision(mod.spec.p, mod.spec.n, b - a)
+    ident = RingMap.identity(mod.spec).with_precision(work_n)
+    lift_w = mod.lift.with_precision(work_n).as_ring_map()
+    g1, g2 = ident.then(lift_w), lift_w.then(ident)
+    assert g1 is not g2 and DividedCoeffs(g1, g2, b - a, base_n=mod.spec.n).all_zero
+    assert glue_map(mod, g1, g2).matrix == Matrix.identity(mod.spec, mod.rank)
+    assert modules_equal(pullback_ff(mod, RingMap.identity(mod.spec), mod.lift), mod)
+
+
+def test_shared_zero_and_one_survive_checks_and_gluing(fixture_dir):
+    mod, lifts = parse_module_file((fixture_dir / "rank3_p5n2.json").read_text())
+    spec, (a, b) = mod.spec, mod.hodge_range
+    work_n = work_precision(spec.p, spec.n, b - a)
+    work_spec = lifts["Phi"].as_ring_map().with_precision(work_n).target
+    constants = [(s, RingElem.zero(s), RingElem.one(s)) for s in (spec, work_spec)]
+    assert all(RingElem.zero(s) is zero and RingElem.one(s) is one for s, zero, one in constants)
+    assert all(run_all_checks(mod).values())
+    phi, psi, chi = lifts["Phi"], lifts["Psi"], lifts["Chi"]
+    g = glue_map(mod, phi, psi)
+    assert check_glue_identity(mod, phi) and check_glue_horizontal(mod, phi, psi, glue=g)
+    for r in [RingElem.one(spec)] + [RingElem.variable(spec, j) for j in range(1, spec.d + 1)]:
+        assert check_glue_linearity(mod, phi, psi, r, glue=g)
+    assert check_glue_cocycle(mod, phi, psi, chi, glue=g)
+    for s, zero, one in constants:
+        assert RingElem.zero(s) is zero and zero.terms == {}
+        assert RingElem.one(s) is one and one.terms == {(0,) * s.d: 1}
+
+
+def test_run_all_checks_opens_the_gate_only_when_both_checks_pass(fixture_dir, monkeypatch):
+    bad, _ = parse_module_file((fixture_dir / "bad_flat_p5n2.json").read_text())
+    run_all_checks(bad)
+    assert not bad._glue_cache.valid_for_glue
+    mod, lifts = parse_module_file((fixture_dir / "rank3_p5n2.json").read_text())
+    run_all_checks(mod)
+    assert mod._glue_cache.valid_for_glue
+
+    def unexpected(module):
+        raise AssertionError("the gate was checked again")
+    monkeypatch.setattr(transport_module, "check_flat", unexpected)
+    monkeypatch.setattr(transport_module, "check_griffiths", unexpected)
+    assert check_glue_identity(mod, lifts["Phi"])
+
+
+def test_divided_connection_reads_the_unit_inverses_of_the_lift_map(monkeypatch):
+    """On a module whose connection lives on every slot, the memoized w_j^-1
+    of the lift's map gives what lift.w(j).invert_unit() gives."""
+    base = rank3_chain(5, 2, d=2)
+    spec = base.spec
+    t1, t2 = RingElem.variable(spec, 1), RingElem.variable(spec, 2)
+    mixing = RingMap(spec, spec, [(1, (1, 1), t2 + t1 * t1), (1, (0, 1), t1)])
+    mod = pullback_ff(base, mixing, base.lift)
+    assert all(v.ok for v in run_all_checks(mod).values())
+    assert not any(mat.is_zero() for mat in mod.connection)
+    for lift in (random_lift(random.Random(f"winv:{k}"), spec) for k in range(3)):
+        got = _divided_connection(mod, lift)
+        with monkeypatch.context() as patch:
+            patch.setattr(RingMap, "unit_inverse", lambda self, j: lift.w(j).invert_unit())
+            assert _divided_connection(mod, lift) == got
+        assert [lift.as_ring_map().unit(j) for j in (1, 2)] == [lift.w(1), lift.w(2)]
 
 
 def test_package_attribute_is_the_transport_module():
