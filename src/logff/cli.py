@@ -108,14 +108,14 @@ def cmd_glue(args) -> int:
     verdicts = {}
     if args.lift1 == args.lift2:
         verdicts["identity"] = check_glue_identity(module, l1)
-    verdicts["horizontality"] = check_glue_horizontal(module, l1, l2, glue=g)
+    verdicts["horizontality"] = check_glue_horizontal(module, l1, l2)
     samples = [RingElem.one(module.spec)]
     samples += [RingElem.variable(module.spec, j) for j in range(1, module.spec.d + 1)]
     verdicts["linearity"] = all(
-        check_glue_linearity(module, l1, l2, r, glue=g) for r in samples)
+        check_glue_linearity(module, l1, l2, r) for r in samples)
     if args.cocycle or args.third:
         third = lifts[args.third] if args.third else l1
-        verdicts["cocycle"] = check_glue_cocycle(module, l1, l2, third, glue=g)
+        verdicts["cocycle"] = check_glue_cocycle(module, l1, l2, third)
     report = {
         "file": args.file,
         "lifts": [args.lift1, args.lift2] + ([args.third] if args.third else []),

@@ -65,21 +65,11 @@ def factorial_valp(m: int, p: int) -> int:
 
 
 def modinv(a: int, modulus: int) -> int:
-    """Inverse of a mod `modulus` (extended Euclid); ValueError if not a unit."""
-    g, x = _xgcd(a % modulus, modulus)
-    if g != 1:
-        raise ValueError(f"{a} is not invertible mod {modulus}")
-    return x % modulus
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int]:
-    # returns (gcd, x) with a*x = gcd mod b
-    x0, x1 = 1, 0
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        x0, x1 = x1, x0 - q * x1
-    return a, x0
+    """Inverse of a mod `modulus`; ValueError if not a unit."""
+    try:
+        return pow(a, -1, modulus)
+    except ValueError:
+        raise ValueError(f"{a} is not invertible mod {modulus}") from None
 
 
 def reduce_mod(q: Fraction | int, p: int, n: int) -> int:

@@ -77,7 +77,8 @@ class GlueCache:
     pair of maps, so no result depends on the order of calls.  The size is
     bounded: one operator memo per (mode, basis index), each holding at most
     one vector per index below stop_shell; the last DividedCoeffs with its
-    key; the divided connections (divided_connection) of at most
+    key; the last gluing (transport.glue_map), a frozen GlueMap that names
+    its own pair of maps; the divided connections (divided_connection) of at most
     MAX_DIVIDED lifts, the oldest dropped first; and whether the module
     passed the flatness and Griffiths gate, which either the gate of a
     gluing or `run_all_checks` sets once both pass.  A failure is never
@@ -93,7 +94,8 @@ class GlueCache:
         # ((g1, g2, mode), DividedCoeffs) as one tuple, so that a sweep running
         # concurrently on this module never pairs a key with another engine
         self.coeffs = None
-        self.divided: dict = {}            # the lift's RingMap -> divided connection
+        self.glue = None                   # the last transport.GlueMap, with its pair
+        self.divided: dict = {}            # lift -> divided connection
         self.valid_for_glue = False
 
 
@@ -200,17 +202,10 @@ def falling_connection_op(connection: list[Matrix], vec: list[RingElem],
 
     memo, if given, maps indices to results for this connection and this
     start vector, and is filled with the result and any missing ancestors
-    (see _trie_walk): the same factors in the same order as without a memo,
-    so the two agree term for term.  Memoized vectors are shared between
-    calls and must not be mutated.
+    (see _trie_walk); without one the walk runs on a fresh dict.  Memoized
+    vectors are shared between calls and must not be mutated.
     """
-    if memo is None:
-        out = list(vec)
-        for j0, ij in enumerate(index):
-            for k in range(ij):
-                out = _falling_factor(connection, out, j0, k)
-        return out
-    return _trie_walk(_falling_factor, connection, vec, index, memo)
+    return _trie_walk(_falling_factor, connection, vec, index, {} if memo is None else memo)
 
 
 def _falling_factor(connection: list[Matrix], vec: list[RingElem], j0: int, k: int):
@@ -323,20 +318,19 @@ def divided_connection(module: LogFFModule, lift: FrobLift | None = None) -> lis
     [x]_i = p^(a-i) [x]_a.  Under Griffiths transversality every p-exponent
     that appears is nonnegative; a negative one raises NonIntegralError.
 
-    The result is memoized per lift in the module's GlueCache; a lift is
-    identified by its ring map, so equal lifts share one entry.
+    The result is memoized per lift in the module's GlueCache; equal lifts
+    share one entry.
     """
     lift = lift if lift is not None else module.lift
     if lift.spec != module.spec:
         raise SpecMismatchError("lift over the wrong spec")
     memo = module._glue_cache.divided
-    key = lift.as_ring_map()
-    got = memo.get(key)
+    got = memo.get(lift)
     if got is None:
         got = _divided_connection(module, lift)
         if len(memo) >= GlueCache.MAX_DIVIDED:
             memo.pop(next(iter(memo)), None)
-        memo[key] = got
+        memo[lift] = got
     return list(got)
 
 
@@ -345,9 +339,8 @@ def _divided_connection(module: LogFFModule, lift: FrobLift) -> list[Matrix]:
     spec = module.spec
     p, d, r = spec.p, spec.d, module.rank
     levels = module.levels
-    frob = lift.as_ring_map()
-    # w_j is the unit part of frob(T_j); the map keeps its inverse
-    winv = [frob.unit_inverse(j) for j in range(1, d + 1)]
+    # w_j is the unit part of lift(T_j); the map keeps its inverse
+    winv = [lift.unit_inverse(j) for j in range(1, d + 1)]
     # D[l][j] = delta_l(u_j) * w_j^{-1}, the frame correction of the lift
     correction = [[lift.u[j].log_derive(l + 1) * winv[j] for j in range(d)] for l in range(d)]
     out = []
@@ -356,11 +349,11 @@ def _divided_connection(module: LogFFModule, lift: FrobLift) -> list[Matrix]:
         for i in range(r):
             row = []
             for k in range(r):
-                bracket = frob.apply(module.connection[l].entry(i, k))
+                bracket = lift.apply(module.connection[l].entry(i, k))
                 for j in range(d):
                     base = module.connection[j].entry(i, k)
                     if not base.is_zero():
-                        bracket = bracket + frob.apply(base) * correction[l][j]
+                        bracket = bracket + lift.apply(base) * correction[l][j]
                 exponent = levels[i] - levels[k] + 1
                 if exponent >= 0:
                     row.append(bracket.scale(p ** exponent))
@@ -460,8 +453,7 @@ def reduce_mod_pm(module: LogFFModule, m: int) -> LogFFModule:
     basis = [replace(v, torsion=min(v.torsion, m)) for v in module.basis]
     conn = [mat.with_spec(spec) for mat in module.connection]
     frob = module.frobenius.with_spec(spec)
-    lift = FrobLift(spec, [u.with_spec(spec) for u in module.lift.u])
-    return LogFFModule(spec, module.hodge_range, basis, conn, lift, frob,
+    return LogFFModule(spec, module.hodge_range, basis, conn, module.lift.with_precision(m), frob,
                        wide_range=module.wide_range)
 
 

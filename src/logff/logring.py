@@ -466,13 +466,14 @@ class RingMap:
     such maps with equal monomial parts are honest units, which is what the
     divided-power Taylor machinery needs.
 
-    A map is immutable.  It memoizes what it derives from itself: the inverses
-    of its slot images; the unit part c_j * (1 + p*h_j) of each slot image,
-    built with the map, and that unit's inverse, built on the first request
-    (`unit`, `unit_inverse`), which `DividedCoeffs` and the divided
-    connection read; and its copies at other precisions (`with_precision`
-    builds each precision once per map and returns the map itself at its own
-    precision).
+    A map is immutable.  It memoizes what it derives from itself: the unit
+    part c_j * (1 + p*h_j) of each slot image, built with the map, and that
+    unit's inverse, built on the first request (`unit`, `unit_inverse`),
+    which `DividedCoeffs`, the divided connection and the pullback frame
+    read; the powers f(T_j)^e that `apply` uses, one per (slot, exponent),
+    a negative one built from f(T_j)^(-1) = T^(-E_j) * unit_inverse(j); and
+    its copies at other precisions (`with_precision` builds each precision
+    once per map and returns the map itself at its own precision).
     """
 
     def __init__(self, source: RingSpec, target: RingSpec,
@@ -504,8 +505,8 @@ class RingMap:
         self._units = [(one + h.scale(target.p)).scale(c) for c, _, h in norm]
         self._elems = [RingElem.monomial(target, exps) * unit
                        for (_, exps, _), unit in zip(norm, self._units)]
-        self._inv_elems: dict[int, RingElem] = {}
         self._unit_invs: dict[int, RingElem] = {}
+        self._pows: dict[tuple[int, int], RingElem] = {}
         self._at_precision: dict[int, RingMap] = {}
 
     @classmethod
@@ -533,17 +534,21 @@ class RingMap:
         return inv
 
     def _image_pow(self, j0: int, e: int) -> RingElem:
-        if e >= 0:
-            return self._elems[j0] ** e
-        inv = self._inv_elems.get(j0)
-        if inv is None:
-            try:
-                inv = self._elems[j0].invert_unit()
-            except ZeroDivisionError:
-                raise IllegalMapError(
-                    f"negative power of non-unit image of slot {j0 + 1}") from None
-            self._inv_elems[j0] = inv
-        return inv ** (-e)
+        """f(T_j)^e for j = j0 + 1 and e != 0, memoized per (slot, exponent).
+
+        A negative e occurs only on a Laurent slot, whose image __init__ has
+        proved to be the unit monomial T^E_j * unit(j).
+        """
+        got = self._pows.get((j0, e))
+        if got is None:
+            if e > 0:
+                got = self._elems[j0] ** e
+            else:
+                exps = tuple(-x for x in self.images[j0][1])
+                inv = RingElem.monomial(self.target, exps) * self.unit_inverse(j0 + 1)
+                got = inv ** -e
+            self._pows[(j0, e)] = got
+        return got
 
     def apply(self, r: RingElem) -> RingElem:
         if r.spec is not self.source and r.spec != self.source:
@@ -583,16 +588,19 @@ class RingMap:
         return RingMap(self.source, g.target, images)
 
     def with_precision(self, n: int) -> "RingMap":
-        """The same images read at precision n (canonical lifts when raising)."""
+        """The same images read at precision n (canonical lifts when raising),
+        built once per precision and of the same class as the map."""
         if n == self.source.n:
             return self
         got = self._at_precision.get(n)
         if got is None:
-            src = self.source.with_precision(n)
-            tgt = self.target.with_precision(n)
-            got = RingMap(src, tgt, [(c, e, h.with_spec(tgt)) for c, e, h in self.images])
-            self._at_precision[n] = got
+            got = self._at_precision[n] = self._at(n)
         return got
+
+    def _at(self, n: int) -> "RingMap":
+        src = self.source.with_precision(n)
+        tgt = self.target.with_precision(n)
+        return RingMap(src, tgt, [(c, e, h.with_spec(tgt)) for c, e, h in self.images])
 
     def __eq__(self, other):
         if not isinstance(other, RingMap):
@@ -603,8 +611,13 @@ class RingMap:
         return hash((self.source, self.target, tuple(self.images)))
 
 
-class FrobLift:
+class FrobLift(RingMap):
     """Frobenius lift Phi(T_j) = w_j T_j^p with w_j = 1 + p*u_j.
+
+    A lift is the unit-monomial map with c_j = 1, E_j = p*e_j and h_j = u_j,
+    so w_j is `unit(j)` and its inverse `unit_inverse(j)`; a lift equals,
+    and hashes like, the RingMap with the same images.  `with_precision`
+    returns a FrobLift, memoized like any map's.
 
     Storing the u_j makes the invariant w_j = 1 mod p structural; the lift
     property Phi(r) = r^p mod p then holds for every element.
@@ -623,31 +636,16 @@ class FrobLift:
             e = [0] * spec.d
             e[j] = spec.p
             images.append((1, tuple(e), u[j]))
-        self._map = RingMap(spec, spec, images)
+        super().__init__(spec, spec, images)
 
     @classmethod
     def standard(cls, spec: RingSpec) -> "FrobLift":
         """The lift with w_j = 1 (T_j -> T_j^p)."""
         return cls(spec, [RingElem.zero(spec)] * spec.d)
 
-    def w(self, j: int) -> RingElem:
-        """The unit w_j = 1 + p*u_j, 1-based slot."""
-        return RingElem.one(self.spec) + self.u[j - 1].scale(self.spec.p)
-
-    def as_ring_map(self) -> RingMap:
-        return self._map
-
-    def apply(self, r: RingElem) -> RingElem:
-        return self._map.apply(r)
-
-    def with_precision(self, n: int) -> "FrobLift":
+    def _at(self, n: int) -> "FrobLift":
         spec = self.spec.with_precision(n)
         return FrobLift(spec, [uj.with_spec(spec) for uj in self.u])
-
-    def __eq__(self, other):
-        if not isinstance(other, FrobLift):
-            return NotImplemented
-        return self.spec == other.spec and self.u == other.u
 
 
 # -- truncation control ------------------------------------------------------
@@ -1040,7 +1038,7 @@ def taylor_residual(r: RingElem, lift1: FrobLift, lift2: FrobLift) -> RingElem:
     spec = r.spec
     if lift1.spec != spec or lift2.spec != spec:
         raise SpecMismatchError("lifts must live over the element's spec")
-    coeffs = DividedCoeffs(lift1.as_ring_map(), lift2.as_ring_map(), width=0)
+    coeffs = DividedCoeffs(lift1, lift2, width=0)
     acc = lift1.apply(r)
     q = spec.q
     terms = list(r.terms.items())

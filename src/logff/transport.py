@@ -43,19 +43,19 @@ from .logring import (
 from .matrices import Matrix
 
 
-@dataclass
+@dataclass(frozen=True)
 class GlueMap:
-    """Matrix of the comparison Vtilde (x)_{g1} R' -> Vtilde (x)_{g2} R'."""
+    """Matrix of the comparison Vtilde (x)_{g1} R' -> Vtilde (x)_{g2} R'.
+
+    Frozen, so that the gluing a module's GlueCache keeps always carries the
+    pair of maps it was computed for.
+    """
 
     source_map: RingMap
     target_map: RingMap
     matrix: Matrix
     shells_used: int
     design_bound: int
-
-
-def _as_map(g) -> RingMap:
-    return g.as_ring_map() if isinstance(g, FrobLift) else g
 
 
 def _require_valid_for_glue(module: LogFFModule):
@@ -157,25 +157,20 @@ def _basis_glue(module: LogFFModule, g1: RingMap, g2: RingMap, mode: str = "rati
     return Matrix(coeffs.base_spec, rows), coeffs
 
 
-def glue_map(module: LogFFModule, g1, g2) -> GlueMap:
+def glue_map(module: LogFFModule, g1: RingMap, g2: RingMap) -> GlueMap:
     """The gluing matrix between the g1- and g2-twists of the tilde module.
 
-    g1 and g2 may be Frobenius lifts or, more generally, unit-monomial ring
-    maps out of the module's ring that agree mod p (LiftMismatchError if
-    not).  Column k holds the image of etilde_k (x) 1.
+    g1 and g2 are unit-monomial ring maps out of the module's ring that agree
+    mod p (LiftMismatchError if not), Frobenius lifts among them.  Column k
+    holds the image of etilde_k (x) 1.  The module's GlueCache keeps the last
+    gluing, so asking again for an equal pair returns it.
     """
     _require_valid_for_glue(module)
-    m1, m2 = _as_map(g1), _as_map(g2)
-    matrix, coeffs = _basis_glue(module, m1, m2)
-    return GlueMap(m1, m2, matrix, coeffs.stop, coeffs.design_bound)
-
-
-def _glue_for(module: LogFFModule, l1, l2, glue: GlueMap | None) -> GlueMap:
-    """glue if given (it must be the gluing of the same pair), else glue_map(module, l1, l2)."""
-    if glue is None:
-        return glue_map(module, l1, l2)
-    if (glue.source_map, glue.target_map) != (_as_map(l1), _as_map(l2)):
-        raise ValueError("the precomputed GlueMap belongs to another pair of lifts")
+    cache = module._glue_cache
+    glue = cache.glue
+    if glue is None or (glue.source_map, glue.target_map) != (g1, g2):
+        matrix, coeffs = _basis_glue(module, g1, g2)
+        glue = cache.glue = GlueMap(g1, g2, matrix, coeffs.stop, coeffs.design_bound)
     return glue
 
 
@@ -186,35 +181,28 @@ def check_glue_identity(module: LogFFModule, lift) -> bool:
     return g.matrix.eq_mod_rows(ident, module.torsions)
 
 
-def check_glue_cocycle(module: LogFFModule, l1, l2, l3,
-                       glue: GlueMap | None = None) -> bool:
-    """Transitivity G_{13} = G_{23} G_{12} of the gluing matrices.
-
-    A precomputed GlueMap for (l1, l2) may be passed as G_{12}.
-    """
-    g12 = _glue_for(module, l1, l2, glue).matrix
+def check_glue_cocycle(module: LogFFModule, l1, l2, l3) -> bool:
+    """Transitivity G_{13} = G_{23} G_{12} of the gluing matrices."""
+    g12 = glue_map(module, l1, l2).matrix
     g23 = glue_map(module, l2, l3).matrix
     g13 = glue_map(module, l1, l3).matrix
     return g13.eq_mod_rows(g23 * g12, module.torsions)
 
 
-def check_glue_linearity(module: LogFFModule, l1, l2, r: RingElem,
-                         glue: GlueMap | None = None) -> bool:
+def check_glue_linearity(module: LogFFModule, l1, l2, r: RingElem) -> bool:
     """Well-definedness on the tensor relation (r m) (x) 1 = m (x) g1(r).
 
     The gluing formula applied directly to the filtered element r*e_k must
-    equal the matrix column for e_k times g1(r).  A precomputed GlueMap for
-    the same pair may be passed to amortize batches over many r.
+    equal the matrix column for e_k times g1(r).  A batch over many r for
+    one pair computes the gluing matrix once (glue_map keeps it).
     """
-    _require_valid_for_glue(module)
-    m1, m2 = _as_map(l1), _as_map(l2)
-    g = _glue_for(module, m1, m2, glue)
-    r_image = m1.with_precision(module.spec.n).apply(r)
+    g = glue_map(module, l1, l2)
+    r_image = l1.with_precision(module.spec.n).apply(r)
     vectors = []
     for k in range(module.rank):
         vec = module.basis_vector(k)
         vectors.append((module.levels[k], [x * r for x in vec]))
-    columns, _ = _glue_columns(module, m1, m2, vectors)
+    columns, _ = _glue_columns(module, l1, l2, vectors)
     for k in range(module.rank):
         expected = [g.matrix.entry(m, k) * r_image for m in range(module.rank)]
         for m in range(module.rank):
@@ -224,13 +212,9 @@ def check_glue_linearity(module: LogFFModule, l1, l2, r: RingElem,
     return True
 
 
-def check_glue_horizontal(module: LogFFModule, l1: FrobLift, l2: FrobLift,
-                          glue: GlueMap | None = None) -> bool:
-    """Parallelism: delta_j(G) + A'_j(l2) G = G A'_j(l1) for every slot.
-
-    A precomputed GlueMap for the same pair may be passed as G.
-    """
-    g = _glue_for(module, l1, l2, glue)
+def check_glue_horizontal(module: LogFFModule, l1: FrobLift, l2: FrobLift) -> bool:
+    """Parallelism: delta_j(G) + A'_j(l2) G = G A'_j(l1) for every slot."""
+    g = glue_map(module, l1, l2)
     div1 = divided_connection(module, l1)
     div2 = divided_connection(module, l2)
     return not _horizontal_failures(g.matrix, div2, div1, module.torsions)
@@ -242,7 +226,7 @@ def check_nonlog_agreement(module: LogFFModule, l1: FrobLift, l2: FrobLift) -> b
     if module.spec.s != 0:
         raise ValueError("non-log comparison needs all slots Laurent (s = 0)")
     G = glue_map(module, l1, l2).matrix
-    classical, _ = _basis_glue(module, _as_map(l1), _as_map(l2), mode="difference")
+    classical, _ = _basis_glue(module, l1, l2, mode="difference")
     return G.eq_mod_rows(classical, module.torsions)
 
 
@@ -273,18 +257,17 @@ def pullback_ff(module: LogFFModule, f: RingMap, target_lift: FrobLift) -> LogFF
     a, b = module.hodge_range
     work_n = work_precision(module.spec.p, base_n, b - a)
     f_work = f.with_precision(work_n)
-    g1 = f_work.then(target_lift.with_precision(work_n).as_ring_map())   # Phi' o f
-    g2 = module.lift.with_precision(work_n).as_ring_map().then(f_work)  # f o Phi
+    g1 = f_work.then(target_lift.with_precision(work_n))   # Phi' o f
+    g2 = module.lift.with_precision(work_n).then(f_work)  # f o Phi
     comparison = glue_map(module, g1, g2).matrix
 
     f_base = f.with_precision(base_n)
     target = f_base.target
     p = target.p
     # frame transform: f^*(dlog T_j) = sum_l J[j][l] dlog T'_l
-    one = RingElem.one(target)
     J = []
-    for c, exps, h in f_base.images:
-        inv = (one + h.scale(p)).invert_unit()
+    for j, (c, exps, h) in enumerate(f_base.images):
+        inv = f_base.unit_inverse(j + 1).scale(c)   # (1 + p*h)^-1 = c * unit(j)^-1
         row = []
         for l in range(target.d):
             term = RingElem.const(target, exps[l])
@@ -298,15 +281,18 @@ def pullback_ff(module: LogFFModule, f: RingMap, target_lift: FrobLift) -> LogFF
             acc = acc + mapped.scale(J[j][l])
         new_connection.append(acc)
     new_frobenius = module.frobenius.map_entries(f_base.apply) * comparison
-    lift_base = FrobLift(target, [u.with_spec(target) for u in
-                                  target_lift.with_precision(base_n).u])
     return LogFFModule(target, module.hodge_range, list(module.basis), new_connection,
-                       lift_base, new_frobenius, wide_range=module.wide_range)
+                       target_lift.with_precision(base_n), new_frobenius,
+                       wide_range=module.wide_range)
 
 
 def modules_equal(m1: LogFFModule, m2: LogFFModule) -> bool:
-    """Entrywise equality of two modules' data modulo the row torsions."""
-    if (m1.spec, m1.hodge_range, m1.basis) != (m2.spec, m2.hodge_range, m2.basis):
+    """Entrywise equality of two modules' data modulo the row torsions.
+
+    The lifts must be equal too: phi is relative to the lift.
+    """
+    if (m1.spec, m1.hodge_range, m1.basis, m1.lift) != (m2.spec, m2.hodge_range, m2.basis,
+                                                        m2.lift):
         return False
     mods = m1.torsions
     for a, b in zip(m1.connection, m2.connection):

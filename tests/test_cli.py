@@ -133,20 +133,20 @@ class TestGlue:
     def test_third_computes_each_gluing_once(self, fixture_dir, capsys, monkeypatch):
         import importlib
 
-        import logff.cli as cli
         from logff.modfile import parse_module_file
         from logff.transport import check_glue_cocycle, check_glue_horizontal, glue_map
 
         path = fixture_dir / "nil2_p5n2.json"
         transport_module = importlib.import_module("logff.transport")
+        real = transport_module._basis_glue
         pairs = []
 
-        def counting(module, g1, g2):
+        def counting(module, g1, g2, mode="ratio"):
             pairs.append((g1, g2))
-            return glue_map(module, g1, g2)
+            return real(module, g1, g2, mode)
 
-        monkeypatch.setattr(transport_module, "glue_map", counting)
-        monkeypatch.setattr(cli, "glue_map", counting)
+        # every matrix glue_map returns is built here; the module keeps the last one
+        monkeypatch.setattr(transport_module, "_basis_glue", counting)
         code, out, _ = run(capsys, "glue", str(path), "Phi", "Psi", "--third", "Chi",
                            "--format", "json")
         monkeypatch.undo()

@@ -175,7 +175,7 @@ class TestDividedConnection:
                     refused += 1
                 else:
                     cached[0].clear()   # the caller gets a list of its own
-                    integral.add(lift.as_ring_map())
+                    integral.add(lift)
                 fresh, fresh_lifts = parse_module_file(text, wide_range=True)
                 assert fresh._glue_cache.divided == {}
                 uncached = _divided_or_error(fresh, fresh_lifts[name] if name else fresh.lift)
@@ -188,7 +188,7 @@ class TestDividedConnection:
         rng = random.Random(12)
         lifts = [random_lift(rng, mod.spec) for _ in range(GlueCache.MAX_DIVIDED + 2)]
         results = [divided_connection(mod, lift) for lift in lifts]
-        assert list(mod._glue_cache.divided) == [lift.as_ring_map() for lift in lifts[2:]]
+        assert list(mod._glue_cache.divided) == lifts[2:]
         assert results == [divided_connection(nil2(5, 2, d=2, s=1), lift) for lift in lifts]
         assert divided_connection(mod, lifts[0]) == results[0]
         assert len(mod._glue_cache.divided) == GlueCache.MAX_DIVIDED

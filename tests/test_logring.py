@@ -233,6 +233,56 @@ class TestRingMap:
                 r = random_elem(rng, got.source)
                 assert got.apply(r) == fresh.apply(r)
 
+    def test_negative_image_powers_are_inverse_powers_and_memoized(self, monkeypatch):
+        rng = random.Random(50)
+        spec = RingSpec(5, 3, 3, 1)
+        f = RingMap(spec, spec, [(2, (1, 0, 0), random_elem(rng, spec)),
+                                 (3, (0, 1, -1), random_elem(rng, spec)),
+                                 (4, (0, 2, 0), random_elem(rng, spec))])
+        for j in (2, 3):   # the Laurent slots
+            for k in (1, 2, 3):
+                assert f._image_pow(j - 1, -k) == f.image_elem(j).invert_unit() ** k
+                assert f._image_pow(j - 1, k) == f.image_elem(j) ** k
+        r = RingElem(spec, {(1, -2, 3): 7, (0, 1, -1): 2, (2, 0, -3): 1})
+        expected = f.apply(r)
+        products = []
+        real = RingElem.__mul__
+        monkeypatch.setattr(RingElem, "__mul__", lambda x, y: products.append(1) or real(x, y))
+        assert f.apply(r) == expected
+        # one product per nonzero exponent: no power is built again
+        assert len(products) == sum(1 for exps in r.terms for e in exps if e)
+        assert f._image_pow(1, -2) is f._image_pow(1, -2)
+
+
+class TestFrobLift:
+    def test_a_lift_is_the_ring_map_of_its_images(self):
+        rng = random.Random(51)
+        spec = RingSpec(5, 2, 2, 1)
+        lift = random_lift(rng, spec)
+        assert issubclass(FrobLift, RingMap) and isinstance(lift, RingMap)
+        images = [(1, (5, 0), lift.u[0]), (1, (0, 5), lift.u[1])]
+        same = RingMap(spec, spec, images)
+        assert lift == same and same == lift and hash(lift) == hash(same)
+        assert len({lift, same, FrobLift(spec, list(lift.u))}) == 1
+        assert lift != random_lift(rng, spec)
+        for j in (1, 2):
+            w = RingElem.one(spec) + lift.u[j - 1].scale(5)
+            assert lift.unit(j) == w and lift.unit_inverse(j) == w.invert_unit()
+        for _ in range(10):
+            r = random_elem(rng, spec)
+            assert lift.apply(r) == same.apply(r)
+
+    def test_with_precision_is_a_memoized_lift(self):
+        spec = RingSpec(5, 2, 2, 1)
+        lift = random_lift(random.Random(52), spec)
+        assert lift.with_precision(2) is lift
+        for n in (1, 4):
+            got = lift.with_precision(n)
+            assert isinstance(got, FrobLift) and got is lift.with_precision(n)
+            assert got.spec == spec.with_precision(n) and got.source is got.spec
+            assert got == FrobLift(got.spec, [u.with_spec(got.spec) for u in lift.u])
+            assert got == _rebuilt(lift, n)
+
 
 def test_spec_with_precision_is_the_spec_itself_at_its_own_precision(monkeypatch):
     import logff.logring as logring
@@ -249,7 +299,7 @@ def test_spec_with_precision_is_the_spec_itself_at_its_own_precision(monkeypatch
     assert other.with_precision(3) == spec and other.with_precision(3) is not spec
     # divided coefficients live on the maps' target spec itself, not on an equal copy
     lift = random_lift(random.Random("spec-identity"), spec)
-    engine = DividedCoeffs(lift.as_ring_map(), FrobLift.standard(spec).as_ring_map(), width=0)
+    engine = DividedCoeffs(lift, FrobLift.standard(spec), width=0)
     assert engine.base_spec is spec
     assert engine.coeff((1, 0), 0).spec is spec
 
@@ -318,9 +368,9 @@ class TestTruncation:
     def test_working_precision_error_before_memo(self):
         spec = RingSpec(5, 2, 1, 1)
         l1 = FrobLift(spec, [RingElem.const(spec, 3)])
-        engine = DividedCoeffs(l1.as_ring_map(), FrobLift.standard(spec).as_ring_map(), width=1)
+        engine = DividedCoeffs(l1, FrobLift.standard(spec), width=1)
         reference = engine.coeff((3,), 1)
-        engine = DividedCoeffs(l1.as_ring_map(), FrobLift.standard(spec).as_ring_map(), width=1)
+        engine = DividedCoeffs(l1, FrobLift.standard(spec), width=1)
         work_n = engine.work_n
         engine.work_n = engine.n
         with pytest.raises(WorkingPrecisionError):
@@ -412,7 +462,7 @@ def test_divided_coeffs_against_fraction_oracle():
             width = rng.randint(0, p - 2)
             l1 = FrobLift(spec, [RingElem.const(spec, a)])
             l2 = FrobLift(spec, [RingElem.const(spec, b)])
-            engine = DividedCoeffs(l1.as_ring_map(), l2.as_ring_map(), width=width)
+            engine = DividedCoeffs(l1, l2, width=width)
             x = Fraction(1 + p * a, 1 + p * b) - 1
             for k in range(engine.stop):
                 for e in range(min(k, width) + 1):
@@ -507,8 +557,8 @@ def test_divided_coeffs_match_reference_on_glue_corpus(name):
     module = dict(glue_corpus(5, 2))[name]
     rng = random.Random(f"coeff-differential:{name}")
     a, b = module.hodge_range
-    g1 = random_lift(rng, module.spec).as_ring_map()
-    g2 = module.lift.as_ring_map()
+    g1 = random_lift(rng, module.spec)
+    g2 = module.lift
     raised = _assert_engines_agree(g1, g2, b - a, every_exponent=True)
     assert raised > 0   # the wider exponent range reaches non-integral divisions
     if module.spec.s == 0:
@@ -520,15 +570,14 @@ def test_divided_coeffs_match_reference_on_taylor_cells(p, n, d):
     spec = RingSpec(p, n, d, d)
     rng = random.Random(f"coeff-differential:{p},{n},{d}")
     l1, l2 = random_lift(rng, spec), random_lift(rng, spec)
-    _assert_engines_agree(l1.as_ring_map(), l2.as_ring_map(), 0)
+    _assert_engines_agree(l1, l2, 0)
 
 
 def test_divided_coeffs_non_integral_on_both_paths():
     # x_1 = (1 + p)/1 - 1 = p has valuation exactly 1, so x_1 / p^2 is not integral
     spec = RingSpec(5, 2, 2, 1)
-    l1 = FrobLift(spec, [RingElem.one(spec), RingElem.zero(spec)])
-    l2 = FrobLift.standard(spec)
-    g1, g2 = l1.as_ring_map(), l2.as_ring_map()
+    g1 = FrobLift(spec, [RingElem.one(spec), RingElem.zero(spec)])
+    g2 = FrobLift.standard(spec)
     engine = DividedCoeffs(g1, g2, width=2)
     reference = ReferenceCoeffs(g1, g2, 2)
     assert reference.x[0] == RingElem.const(reference.x[0].spec, 5)
@@ -554,7 +603,7 @@ def test_divided_coeffs_from_memoized_and_fresh_maps_agree(p, n, d, s):
     coefficients and raise the same errors, beyond the working precision too."""
     spec = RingSpec(p, n, d, s)
     rng = random.Random(f"memo:{p},{n},{d},{s}")
-    g1, g2 = random_lift(rng, spec).as_ring_map(), random_lift(rng, spec).as_ring_map()
+    g1, g2 = random_lift(rng, spec), random_lift(rng, spec)
     width = min(2, p - 2)
     first = DividedCoeffs(g1, g2, width)
     memoized = DividedCoeffs(g1, g2, width)
@@ -585,11 +634,11 @@ def test_divided_coeffs_match_reference_on_laurent_charts(p, n, d, s):
     spec = RingSpec(p, n, d, s)
     rng = random.Random(f"coeff-laurent:{p},{n},{d},{s}")
     l1, l2 = random_lift(rng, spec), random_lift(rng, spec)
-    reference = ReferenceCoeffs(l1.as_ring_map(), l2.as_ring_map(), 1)
+    reference = ReferenceCoeffs(l1, l2, 1)
     assert any(e < 0 for x in reference.x for exps in x.terms for e in exps)
-    _assert_engines_agree(l1.as_ring_map(), l2.as_ring_map(), 1, every_exponent=True)
+    _assert_engines_agree(l1, l2, 1, every_exponent=True)
     if s == 0:
-        _assert_engines_agree(l1.as_ring_map(), l2.as_ring_map(), 1, mode="difference")
+        _assert_engines_agree(l1, l2, 1, mode="difference")
 
 
 def _largest_accepted_index(engine, d):
@@ -606,7 +655,7 @@ def _largest_accepted_index(engine, d):
 def test_packed_kernel_at_the_largest_accepted_index(p, n, d):
     spec = RingSpec(p, n, d, d)
     rng = random.Random(f"coeff-largest:{p},{n},{d}")
-    g1, g2 = (random_lift(rng, spec).as_ring_map() for _ in range(2))
+    g1, g2 = (random_lift(rng, spec) for _ in range(2))
     engine = DividedCoeffs(g1, g2, width=0)
     reference = ReferenceCoeffs(g1, g2, 0)
     index = _largest_accepted_index(engine, d)
@@ -622,7 +671,7 @@ def test_packed_kernel_at_the_largest_accepted_index(p, n, d):
 def test_power_refuses_indices_beyond_the_cap(p, n, d):
     spec = RingSpec(p, n, d, d)
     rng = random.Random(f"coeff-cap:{p},{n},{d}")
-    engine = DividedCoeffs(*(random_lift(rng, spec).as_ring_map() for _ in range(2)), width=0)
+    engine = DividedCoeffs(*(random_lift(rng, spec) for _ in range(2)), width=0)
     cap = engine._cap
     assert cap == d * p * (engine.work_n - n + 1)
     engine._power((cap,) + (0,) * (d - 1), engine.work_n)
@@ -645,7 +694,7 @@ def _round_trip(engine, digits, d):
 def test_pack_round_trip_at_the_extreme_digits(p, n, d, s):
     spec = RingSpec(p, n, d, s)
     rng = random.Random(f"coeff-pack:{p},{n},{d},{s}")
-    engine = DividedCoeffs(*(random_lift(rng, spec).as_ring_map() for _ in range(2)), width=0)
+    engine = DividedCoeffs(*(random_lift(rng, spec) for _ in range(2)), width=0)
     h = engine._half
     top = max(abs(e) for x in engine._x for keys, _ in x.values()
               for key in keys for e in _unpack(key, h, d))
@@ -662,7 +711,7 @@ def test_pack_round_trip_exhaustive_at_half_width_one():
     # constant lifts give exponent-free x_j, so h = 1 and the digit box is tiny
     spec = RingSpec(5, 2, 3, 1)
     l1 = FrobLift(spec, [RingElem.const(spec, 3)] * 3)
-    engine = DividedCoeffs(l1.as_ring_map(), FrobLift.standard(spec).as_ring_map(), width=0)
+    engine = DividedCoeffs(l1, FrobLift.standard(spec), width=0)
     assert engine._half == 1
     assert len(_round_trip(engine, (-1, 0, 1), 3)) == 27
 
@@ -713,12 +762,12 @@ def _assert_memo_within_bounds(engine, reference, asked):
 
 def _rank3_chain_maps(p, n, d, rng):
     module = rank3_chain(p, n, d=d)
-    return random_lift(rng, module.spec).as_ring_map(), module.lift.as_ring_map()
+    return random_lift(rng, module.spec), module.lift
 
 
 def _taylor_cell_maps(p, n, d, rng):
     spec = RingSpec(p, n, d, d)
-    return random_lift(rng, spec).as_ring_map(), random_lift(rng, spec).as_ring_map()
+    return random_lift(rng, spec), random_lift(rng, spec)
 
 
 _PRECISION_CELLS = ([(_taylor_cell_maps, cell) for cell in [(5, 8, 2), (7, 6, 2), (3, 8, 2)]]
@@ -835,8 +884,8 @@ def test_ratio_x_on_pullback_composites(p, n, d, s):
               (4, (0, -1), random_elem(rng, spec))]
     f_work = RingMap(spec, spec, images).with_precision(work_n)
     target_lift, lift = random_lift(rng, spec), random_lift(rng, spec)
-    g1 = f_work.then(target_lift.with_precision(work_n).as_ring_map())
-    g2 = lift.with_precision(work_n).as_ring_map().then(f_work)
+    g1 = f_work.then(target_lift.with_precision(work_n))
+    g2 = lift.with_precision(work_n).then(f_work)
     assert any(c != 1 for c, _, _ in g1.images)
     assert any(e < 0 for _, exps, _ in g1.images for e in exps)
     engine, _ = _assert_x_and_coeffs_match(g1, g2, width, base_n=n)
@@ -853,10 +902,10 @@ def test_ratio_x_on_lifts_equal_on_some_slots(p, n, d, s):
     for equal in range(d + 1):
         u = list(l1.u[:equal]) + [random_elem(rng, spec, max_exp=2) for _ in range(d - equal)]
         l2 = FrobLift(spec, u)
-        engine, reference = _assert_x_and_coeffs_match(l1.as_ring_map(), l2.as_ring_map(), 1)
+        engine, reference = _assert_x_and_coeffs_match(l1, l2, 1)
         assert [x.is_zero() for x in reference.x][:equal] == [True] * equal
         assert engine.all_zero == (equal == d)
-    same, _ = _assert_x_and_coeffs_match(l1.as_ring_map(), l1.as_ring_map(), 1)
+    same, _ = _assert_x_and_coeffs_match(l1, l1, 1)
     assert same.all_zero
     for c in range(1, same.stop):
         for index in multi_indices(d, c):
@@ -866,9 +915,8 @@ def test_ratio_x_on_lifts_equal_on_some_slots(p, n, d, s):
 def test_equal_maps_invert_nothing_and_a_shared_g2_is_inverted_once(monkeypatch):
     spec = RingSpec(5, 3, 2, 1)
     rng = random.Random("unit-memo")
-    l1a, l1b, l2 = (random_lift(rng, spec) for _ in range(3))
-    g1a, g1b, g2 = (lift.as_ring_map() for lift in (l1a, l1b, l2))
-    twin = FrobLift(spec, [RingElem(spec, dict(u.terms)) for u in l2.u]).as_ring_map()
+    g1a, g1b, g2 = (random_lift(rng, spec) for _ in range(3))
+    twin = FrobLift(spec, [RingElem(spec, dict(u.terms)) for u in g2.u])
     inverted = []
     real = RingElem.invert_unit
     monkeypatch.setattr(RingElem, "invert_unit", lambda x: inverted.append(x) or real(x))
@@ -906,7 +954,7 @@ def test_coeff_of_a_vanishing_power_divides_nothing(monkeypatch):
     import logff.logring as logring
     spec = RingSpec(5, 2, 2, 1)
     rng = random.Random("empty-power")
-    g1, g2 = random_lift(rng, spec).as_ring_map(), random_lift(rng, spec).as_ring_map()
+    g1, g2 = random_lift(rng, spec), random_lift(rng, spec)
     calls = []
     monkeypatch.setattr(logring, "reduce_mod", lambda *a: calls.append(a) or reduce_mod(*a))
     same = DividedCoeffs(g1, g1, width=1)
@@ -932,7 +980,7 @@ def test_coeff_of_a_vanishing_power_divides_nothing(monkeypatch):
 def _per_index_residual(r, lift1, lift2):
     """taylor_residual with one product Psi(delta^I r) * x_I per index I."""
     spec = r.spec
-    coeffs = DividedCoeffs(lift1.as_ring_map(), lift2.as_ring_map(), width=0)
+    coeffs = DividedCoeffs(lift1, lift2, width=0)
     acc = lift1.apply(r)
     for c in range(coeffs.stop):
         for index in multi_indices(spec.d, c):
@@ -1139,7 +1187,7 @@ def test_coeff_in_shuffled_order_matches_fresh_engines():
     for p, n, d, s, width in [(3, 5, 2, 2, 0), (5, 3, 2, 1, 1)]:
         spec = RingSpec(p, n, d, s)
         rng = random.Random(f"coeff-shuffled:{p},{n},{d},{s}")
-        g1, g2 = random_lift(rng, spec).as_ring_map(), random_lift(rng, spec).as_ring_map()
+        g1, g2 = random_lift(rng, spec), random_lift(rng, spec)
         engine = DividedCoeffs(g1, g2, width)
         requests = [(index, e) for c in range(engine.stop) for index in multi_indices(d, c)
                     for e in range(min(width, c) + 1)]
@@ -1186,7 +1234,7 @@ def spec_and_elems(draw):
 @settings(max_examples=200, deadline=None)
 def test_operation_results_are_canonical(case):
     spec, x, y, c = case
-    f = FrobLift(spec, [y] * spec.d).as_ring_map()
+    f = FrobLift(spec, [y] * spec.d)
     for result in (x + y, x - y, -x, x * y, x.scale(c), x * c, f.apply(x)):
         assert result.spec == spec
         assert result.terms == RingElem(spec, result.terms).terms

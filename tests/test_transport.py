@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import random
 
@@ -167,13 +168,12 @@ class TestGlueProperties:
         rng = random.Random(63 + p + n)
         for name, mod in glue_corpus(p, n):
             l1, l2 = random_lift(rng, mod.spec), random_lift(rng, mod.spec)
-            g = glue_map(mod, l1, l2)
-            assert check_glue_linearity(mod, l1, l2, RingElem.one(mod.spec), glue=g)
+            assert check_glue_linearity(mod, l1, l2, RingElem.one(mod.spec))
             c = RingElem.const(mod.spec, 2)
-            assert check_glue_linearity(mod, l1, l2, c, glue=g)
+            assert check_glue_linearity(mod, l1, l2, c)
             for _ in range(5):
                 r = random_elem(rng, mod.spec)
-                assert check_glue_linearity(mod, l1, l2, r, glue=g), name
+                assert check_glue_linearity(mod, l1, l2, r), name
 
     @pytest.mark.parametrize("p,n", [(3, 2), (5, 2)])
     def test_horizontality(self, p, n):
@@ -183,20 +183,36 @@ class TestGlueProperties:
             assert check_glue_horizontal(mod, l1, l2), name
 
 
-    def test_precomputed_glue_is_reused_and_checked(self):
+    def test_glue_map_keeps_the_last_gluing_of_the_module(self, monkeypatch):
         rng = random.Random(65)
         mod = rank3_chain(5, 2)
         l1, l2, l3 = (random_lift(rng, mod.spec) for _ in range(3))
+        computed = []
+        real = transport_module._basis_glue
+        monkeypatch.setattr(transport_module, "_basis_glue",
+                            lambda module, g1, g2, mode="ratio":
+                            computed.append((g1, g2)) or real(module, g1, g2, mode))
         g = glue_map(mod, l1, l2)
-        assert check_glue_horizontal(mod, l1, l2, glue=g) is check_glue_horizontal(mod, l1, l2)
-        assert check_glue_cocycle(mod, l1, l2, l3, glue=g) is \
-            check_glue_cocycle(mod, l1, l2, l3) is True
-        with pytest.raises(ValueError):
-            check_glue_horizontal(mod, l2, l1, glue=g)
-        with pytest.raises(ValueError):
-            check_glue_cocycle(mod, l1, l3, l2, glue=g)
-        with pytest.raises(ValueError):
-            check_glue_linearity(mod, l1, l3, RingElem.one(mod.spec), glue=g)
+        assert mod._glue_cache.glue is g and (g.source_map, g.target_map) == (l1, l2)
+        # an equal pair, as the same or as distinct objects, gets the stored gluing
+        assert glue_map(mod, l1, l2) is g
+        assert glue_map(mod, FrobLift(mod.spec, list(l1.u)), l2) is g
+        # the checks of that pair reuse it too
+        assert check_glue_horizontal(mod, l1, l2)
+        for r in (RingElem.one(mod.spec), random_elem(rng, mod.spec)):
+            assert check_glue_linearity(mod, l1, l2, r)
+        assert check_glue_cocycle(mod, l1, l2, l3)
+        assert computed == [(l1, l2), (l2, l3), (l1, l3)]
+        # another pair is computed afresh and replaces it
+        reverse = glue_map(mod, l2, l1)
+        assert reverse is not g and mod._glue_cache.glue is reverse
+        again = glue_map(mod, l1, l2)
+        assert again is not g and again.matrix == g.matrix
+        assert computed[3:] == [(l2, l1), (l1, l2)]
+        monkeypatch.undo()
+        assert again.matrix == glue_map(rank3_chain(5, 2), l1, l2).matrix
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.target_map = l3
 
 
 class TestNonLogAgreement:
@@ -249,6 +265,15 @@ class TestTransport:
             assert all(v.ok for v in results.values()), name
             back = transport(moved, mod.lift)
             assert modules_equal(back, mod), name
+
+
+def test_modules_equal_compares_the_lifts():
+    mod = nil2(5, 2)
+    other_lift = FrobLift(mod.spec, [RingElem.one(mod.spec)])
+    moved = mod.with_frobenius(mod.frobenius, other_lift)
+    assert moved != mod and not modules_equal(moved, mod) and not modules_equal(mod, moved)
+    twin = mod.with_frobenius(mod.frobenius, FrobLift(mod.spec, list(mod.lift.u)))
+    assert twin.lift is not mod.lift and twin == mod and modules_equal(twin, mod)
 
 
 class TestCoordinateRescaling:
@@ -370,10 +395,8 @@ class TestHighPrecisionGlue:
             assert check_glue_identity(mod, l1)
             assert check_glue_cocycle(mod, l1, l2, l3)
             assert check_glue_horizontal(mod, l1, l2)
-            g = glue_map(mod, l1, l2)
             for _ in range(3):
-                assert check_glue_linearity(mod, l1, l2, random_elem(rng, mod.spec),
-                                            glue=g)
+                assert check_glue_linearity(mod, l1, l2, random_elem(rng, mod.spec))
             moved = transport(mod, l1)
             assert all(v.ok for v in run_all_checks(moved).values())
             assert modules_equal(transport(moved, mod.lift), mod)
@@ -574,7 +597,7 @@ def test_equal_lifts_sum_shell_zero_only(name, factory, monkeypatch):
             assert check_nonlog_agreement(mod, l1, l2)
             (matrix, coeffs), classical = _recording_operator(
                 monkeypatch, lambda: transport_module._basis_glue(
-                    factory(), l1.as_ring_map(), l2.as_ring_map(), mode="difference"))
+                    factory(), l1, l2, mode="difference"))
             assert coeffs.all_zero and set(classical) == {origin}
             assert matrix == g.matrix
 
@@ -585,7 +608,7 @@ def test_pullback_along_the_identity_glues_equal_composites(factory):
     a, b = mod.hodge_range
     work_n = work_precision(mod.spec.p, mod.spec.n, b - a)
     ident = RingMap.identity(mod.spec).with_precision(work_n)
-    lift_w = mod.lift.with_precision(work_n).as_ring_map()
+    lift_w = mod.lift.with_precision(work_n)
     g1, g2 = ident.then(lift_w), lift_w.then(ident)
     assert g1 is not g2 and DividedCoeffs(g1, g2, b - a, base_n=mod.spec.n).all_zero
     assert glue_map(mod, g1, g2).matrix == Matrix.identity(mod.spec, mod.rank)
@@ -596,16 +619,15 @@ def test_shared_zero_and_one_survive_checks_and_gluing(fixture_dir):
     mod, lifts = parse_module_file((fixture_dir / "rank3_p5n2.json").read_text())
     spec, (a, b) = mod.spec, mod.hodge_range
     work_n = work_precision(spec.p, spec.n, b - a)
-    work_spec = lifts["Phi"].as_ring_map().with_precision(work_n).target
+    work_spec = lifts["Phi"].with_precision(work_n).target
     constants = [(s, RingElem.zero(s), RingElem.one(s)) for s in (spec, work_spec)]
     assert all(RingElem.zero(s) is zero and RingElem.one(s) is one for s, zero, one in constants)
     assert all(run_all_checks(mod).values())
     phi, psi, chi = lifts["Phi"], lifts["Psi"], lifts["Chi"]
-    g = glue_map(mod, phi, psi)
-    assert check_glue_identity(mod, phi) and check_glue_horizontal(mod, phi, psi, glue=g)
+    assert check_glue_identity(mod, phi) and check_glue_horizontal(mod, phi, psi)
     for r in [RingElem.one(spec)] + [RingElem.variable(spec, j) for j in range(1, spec.d + 1)]:
-        assert check_glue_linearity(mod, phi, psi, r, glue=g)
-    assert check_glue_cocycle(mod, phi, psi, chi, glue=g)
+        assert check_glue_linearity(mod, phi, psi, r)
+    assert check_glue_cocycle(mod, phi, psi, chi)
     for s, zero, one in constants:
         assert RingElem.zero(s) is zero and zero.terms == {}
         assert RingElem.one(s) is one and one.terms == {(0,) * s.d: 1}
@@ -628,7 +650,7 @@ def test_run_all_checks_opens_the_gate_only_when_both_checks_pass(fixture_dir, m
 
 def test_divided_connection_reads_the_unit_inverses_of_the_lift_map(monkeypatch):
     """On a module whose connection lives on every slot, the memoized w_j^-1
-    of the lift's map gives what lift.w(j).invert_unit() gives."""
+    of the lift gives what inverting w_j = 1 + p*u_j afresh gives."""
     base = rank3_chain(5, 2, d=2)
     spec = base.spec
     t1, t2 = RingElem.variable(spec, 1), RingElem.variable(spec, 2)
@@ -637,11 +659,12 @@ def test_divided_connection_reads_the_unit_inverses_of_the_lift_map(monkeypatch)
     assert all(v.ok for v in run_all_checks(mod).values())
     assert not any(mat.is_zero() for mat in mod.connection)
     for lift in (random_lift(random.Random(f"winv:{k}"), spec) for k in range(3)):
+        w = [RingElem.one(spec) + u.scale(spec.p) for u in lift.u]
         got = _divided_connection(mod, lift)
         with monkeypatch.context() as patch:
-            patch.setattr(RingMap, "unit_inverse", lambda self, j: lift.w(j).invert_unit())
+            patch.setattr(RingMap, "unit_inverse", lambda self, j: w[j - 1].invert_unit())
             assert _divided_connection(mod, lift) == got
-        assert [lift.as_ring_map().unit(j) for j in (1, 2)] == [lift.w(1), lift.w(2)]
+        assert [lift.unit(j) for j in (1, 2)] == w
 
 
 def test_package_attribute_is_the_transport_module():
