@@ -10,10 +10,10 @@ honest one on a finite cover.
 """
 
 from logff import (
+    FrobLift,
     RingElem,
     RingMap,
     check_pullback_functorial,
-    modules_equal,
     pullback_ff,
     root_map,
     root_pullback,
@@ -35,6 +35,16 @@ print("  frobenius: ", pb.frobenius)
 print("  verdicts:  ", {k: v.ok for k, v in run_all_checks(pb).items()})
 
 print()
+print("A map may change the ring: restricting to the open chart T != 0")
+print("(T invertible, no divisor) keeps the connection and every verdict:")
+gm = spec.localized()
+restricted = pullback_ff(mod, RingMap(spec, gm, [(1, (1,), RingElem.zero(gm))]),
+                         FrobLift.standard(gm))
+print("  ring:      ", restricted.spec)
+print("  connection:", restricted.connection[0])
+print("  verdicts:  ", {k: v.ok for k, v in run_all_checks(restricted).items()})
+
+print()
 print("The root cover T -> T^5 kills the logarithmic pole mod 5:")
 rolled = root_pullback(mod, 1)
 print("  connection after pullback:", rolled.connection[0])
@@ -49,4 +59,4 @@ print("  twist then root map:    ", check_pullback_functorial(mod, g, root_map(s
                                                               mod.lift, mod.lift))
 ident = RingMap.identity(spec)
 print("  identity pullback is the identity:",
-      modules_equal(pullback_ff(mod, ident, mod.lift), mod))
+      pullback_ff(mod, ident, mod.lift) == mod)

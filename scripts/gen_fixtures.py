@@ -56,6 +56,10 @@ def main():
     dump("map_root_p5n1.json", map_to_dict(root_map(spec, 1), FrobLift.standard(spec)))
     rescale = RingMap(spec, spec, [(2, (1,), RingElem.zero(spec))])
     dump("map_rescale2_p5n1.json", map_to_dict(rescale, FrobLift.standard(spec)))
+    # a map that changes the ring: the restriction to the open chart T != 0
+    gm = spec.localized()
+    restrict = RingMap(spec, gm, [(1, (1,), RingElem.zero(gm))])
+    dump("map_restrict_p5n1.json", map_to_dict(restrict, FrobLift.standard(gm)))
 
     # deliberately malformed input for the exit-code contract
     (OUT / "garbage.json").write_text("{not json at all\n", encoding="utf-8")

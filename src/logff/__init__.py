@@ -65,7 +65,6 @@ from .transport import (
     check_nonlog_agreement,
     check_pullback_functorial,
     glue_map,
-    modules_equal,
     pullback_ff,
 )
 from .modfile import (

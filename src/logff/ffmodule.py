@@ -76,11 +76,12 @@ class GlueCache:
     Each entry depends only on the module, or on the module and one lift or
     pair of maps, so no result depends on the order of calls.  The size is
     bounded: one operator memo per (mode, basis index), each holding at most
-    one vector per index below stop_shell; the last DividedCoeffs with its
-    key; the last gluing (transport.glue_map), a frozen GlueMap that names
-    its own pair of maps; the divided connections (divided_connection) of at most
-    MAX_DIVIDED lifts, the oldest dropped first; and whether the module
-    passed the flatness and Griffiths gate, which either the gate of a
+    one vector per index below stop_shell; the last gluing
+    (transport.glue_map), a frozen GlueMap that names its own pair of maps
+    and carries the coefficient engine that built it; the divided
+    connections (divided_connection) of at most MAX_DIVIDED lifts, the
+    oldest dropped first; and whether the module passed the flatness and
+    Griffiths gate (_require_valid_for_glue), which either the gate of a
     gluing or `run_all_checks` sets once both pass.  A failure is never
     remembered: a failing gate or a NonIntegralError of divided_connection
     raises on every call.
@@ -91,9 +92,6 @@ class GlueCache:
 
     def __init__(self):
         self.operator_memos: dict = {}     # (mode, k) -> {index: vector}
-        # ((g1, g2, mode), DividedCoeffs) as one tuple, so that a sweep running
-        # concurrently on this module never pairs a key with another engine
-        self.coeffs = None
         self.glue = None                   # the last transport.GlueMap, with its pair
         self.divided: dict = {}            # lift -> divided connection
         self.valid_for_glue = False
@@ -392,6 +390,18 @@ def _horizontal_failures(H: Matrix, A: list[Matrix], B: list[Matrix],
         if loc is not None:
             failures.append({"slot": j + 1, "row": loc[0], "col": loc[1]})
     return failures
+
+
+def _require_valid_for_glue(module: LogFFModule):
+    """The gate of a gluing: flatness and Griffiths transversality, checked once."""
+    cache = module._glue_cache
+    if cache.valid_for_glue:
+        return
+    if not check_flat(module).ok:
+        raise InvariantViolationError("flatness", "gluing needs an integrable connection")
+    if not check_griffiths(module).ok:
+        raise InvariantViolationError("griffiths", "gluing needs Griffiths transversality")
+    cache.valid_for_glue = True
 
 
 def run_all_checks(module: LogFFModule) -> dict[str, CheckResult]:

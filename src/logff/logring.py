@@ -890,6 +890,7 @@ class DividedCoeffs:
         p = tgt.p
         self.p, self.n = p, n
         self.width = width
+        self.mode = mode
         self.stop = stop_shell(p, n, width)
         self.design_bound = design_shell_bound(p, n, width)
         self.work_n = work_precision(p, n, width)

@@ -17,17 +17,15 @@ exact-division layer, so the integrality claims are verified at runtime.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .ffmodule import (
     ElementNotInFilError,
-    InvariantViolationError,
     LogFFModule,
     _horizontal_failures,
     _ordinary_connection_op,
     _reduce_entry,
-    check_flat,
-    check_griffiths,
+    _require_valid_for_glue,
     divided_connection,
     falling_connection_op,
 )
@@ -48,7 +46,8 @@ class GlueMap:
     """Matrix of the comparison Vtilde (x)_{g1} R' -> Vtilde (x)_{g2} R'.
 
     Frozen, so that the gluing a module's GlueCache keeps always carries the
-    pair of maps it was computed for.
+    pair of maps it was computed for, and the coefficient engine that built
+    it, which the linearity check of that pair reuses.
     """
 
     source_map: RingMap
@@ -56,17 +55,7 @@ class GlueMap:
     matrix: Matrix
     shells_used: int
     design_bound: int
-
-
-def _require_valid_for_glue(module: LogFFModule):
-    cache = module._glue_cache
-    if cache.valid_for_glue:
-        return
-    if not check_flat(module).ok:
-        raise InvariantViolationError("flatness", "gluing needs an integrable connection")
-    if not check_griffiths(module).ok:
-        raise InvariantViolationError("griffiths", "gluing needs Griffiths transversality")
-    cache.valid_for_glue = True
+    coeffs: DividedCoeffs = field(compare=False, repr=False)
 
 
 @functools.cache
@@ -75,42 +64,33 @@ def _shells(d: int, stop: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(tuple(multi_indices(d, c)) for c in range(stop))
 
 
-def _glue_columns(module: LogFFModule, g1: RingMap, g2: RingMap,
-                  vectors: list[tuple[int, list[RingElem]]], mode: str = "ratio"):
+def _glue_columns(module: LogFFModule, coeffs: DividedCoeffs, g2: RingMap,
+                  vectors: list[tuple[int, list[RingElem]]]):
     """Shared engine: apply the gluing formula to (level, vector) pairs.
 
-    Each vector must lie in Fil^level; the result is the list of tilde
-    coordinate vectors over the target ring at the module's precision, plus
-    the coefficient engine used.  The maps may carry extra precision
-    (composites must; see work_precision).
+    coeffs is the coefficient engine of the pair (g1, g2), at the module's
+    precision; g2 is the map the operator vectors are carried along.  Each
+    vector must lie in Fil^level; the result is the list of tilde coordinate
+    vectors over the target ring at the module's precision.  The maps may
+    carry extra precision (composites must; see work_precision).
 
-    mode selects the coefficient stream of DividedCoeffs and with it the
-    connection operator: "ratio" the logarithmic one, falling_connection_op,
-    and "difference" the classical one, _ordinary_connection_op.  The
-    module's GlueCache supplies the operator vectors of its basis vectors
-    and the coefficients of a repeated (g1, g2, mode); any other vector gets
-    an operator memo that lives for this call only.
+    The engine's mode selects the connection operator: "ratio" the
+    logarithmic one, falling_connection_op, and "difference" the classical
+    one, _ordinary_connection_op.  The module's GlueCache supplies the
+    operator vectors of its basis vectors; any other vector gets an operator
+    memo that lives for this call only.
 
     When every x_j of the engine is 0 (two equal maps), only shell 0 is
     summed: every later coefficient is x^I / (I! * p^e) with x^I = 0, which
     is exactly 0 and has no division to check, so no later shell adds a
     term or reaches a Fil check.
     """
-    a, b = module.hodge_range
-    base_n = module.spec.n
-    if g1.source.with_precision(base_n) != module.spec:
-        raise SpecMismatchError("maps must start at the module's ring")
+    a, mode = module.hodge_range[0], coeffs.mode
     # read at call time, so that a wrapper installed on the module-level name
     # sees every operator call
     op = falling_connection_op if mode == "ratio" else _ordinary_connection_op
     cache = module._glue_cache
-    key = (g1, g2, mode)
-    entry = cache.coeffs
-    if entry is None or entry[0] != key:
-        entry = (key, DividedCoeffs(g1, g2, width=b - a, mode=mode, base_n=base_n))
-        cache.coeffs = entry
-    coeffs = entry[1]
-    g2_base = g2.with_precision(base_n)
+    g2_base = g2.with_precision(module.spec.n)
     target = coeffs.base_spec
     levels = module.levels
     connection = list(module.connection)
@@ -118,6 +98,8 @@ def _glue_columns(module: LogFFModule, g1: RingMap, g2: RingMap,
     shells = _shells(module.spec.d, 1 if coeffs.all_zero else coeffs.stop)
     columns = []
     for i, vec in vectors:
+        # linearity passes r * e_k, which is e_k for r = 1 (the first sample of
+        # `logff glue`), so its basis memo answers every operator call
         if vec in basis:
             memo = cache.operator_memos.setdefault((mode, basis.index(vec)), {})
         else:
@@ -146,13 +128,19 @@ def _glue_columns(module: LogFFModule, g1: RingMap, g2: RingMap,
                     factor = module.spec.p ** (levels[m] - lvl)
                     out[m] = out[m] + g2_base.apply(wm).scale(factor) * coeff
         columns.append(out)
-    return columns, coeffs
+    return columns
 
 
 def _basis_glue(module: LogFFModule, g1: RingMap, g2: RingMap, mode: str = "ratio"):
-    """_glue_columns on the basis vectors, as a matrix (column k for e_k)."""
+    """_glue_columns on the basis vectors, as a matrix (column k for e_k), with
+    the coefficient engine of (g1, g2) in the given mode that it builds."""
+    a, b = module.hodge_range
+    base_n = module.spec.n
+    if g1.source.with_precision(base_n) != module.spec:
+        raise SpecMismatchError("maps must start at the module's ring")
+    coeffs = DividedCoeffs(g1, g2, width=b - a, mode=mode, base_n=base_n)
     vectors = [(module.levels[k], module.basis_vector(k)) for k in range(module.rank)]
-    columns, coeffs = _glue_columns(module, g1, g2, vectors, mode)
+    columns = _glue_columns(module, coeffs, g2, vectors)
     rows = [[columns[k][m] for k in range(module.rank)] for m in range(module.rank)]
     return Matrix(coeffs.base_spec, rows), coeffs
 
@@ -170,7 +158,7 @@ def glue_map(module: LogFFModule, g1: RingMap, g2: RingMap) -> GlueMap:
     glue = cache.glue
     if glue is None or (glue.source_map, glue.target_map) != (g1, g2):
         matrix, coeffs = _basis_glue(module, g1, g2)
-        glue = cache.glue = GlueMap(g1, g2, matrix, coeffs.stop, coeffs.design_bound)
+        glue = cache.glue = GlueMap(g1, g2, matrix, coeffs.stop, coeffs.design_bound, coeffs)
     return glue
 
 
@@ -194,7 +182,8 @@ def check_glue_linearity(module: LogFFModule, l1, l2, r: RingElem) -> bool:
 
     The gluing formula applied directly to the filtered element r*e_k must
     equal the matrix column for e_k times g1(r).  A batch over many r for
-    one pair computes the gluing matrix once (glue_map keeps it).
+    one pair computes the gluing matrix and its coefficients once (glue_map
+    keeps both).
     """
     g = glue_map(module, l1, l2)
     r_image = l1.with_precision(module.spec.n).apply(r)
@@ -202,7 +191,7 @@ def check_glue_linearity(module: LogFFModule, l1, l2, r: RingElem) -> bool:
     for k in range(module.rank):
         vec = module.basis_vector(k)
         vectors.append((module.levels[k], [x * r for x in vec]))
-    columns, _ = _glue_columns(module, l1, l2, vectors)
+    columns = _glue_columns(module, g.coeffs, l2, vectors)
     for k in range(module.rank):
         expected = [g.matrix.entry(m, k) * r_image for m in range(module.rank)]
         for m in range(module.rank):
@@ -242,7 +231,9 @@ def pullback_ff(module: LogFFModule, f: RingMap, target_lift: FrobLift) -> LogFF
     The connection is base-changed in the dlog frame (monomial exponents
     rescale the frame, unit parts contribute du/(1+pu) corrections), and the
     new Frobenius is f(F) composed with the gluing matrix between the two
-    composite lifts Phi' o f and f o Phi, which agree mod p.
+    composite lifts Phi' o f and f o Phi, which agree mod p.  The result is
+    over f's target ring, which may differ from the module's (a restriction
+    to an open chart, a diagonal).
 
     The composites are formed at the divided-coefficient working precision:
     a base-precision composite would underdetermine the digits the division
@@ -264,6 +255,10 @@ def pullback_ff(module: LogFFModule, f: RingMap, target_lift: FrobLift) -> LogFF
     f_base = f.with_precision(base_n)
     target = f_base.target
     p = target.p
+    # built in the target ring, since f may change the ring
+    def mapped(mat: Matrix) -> Matrix:
+        return Matrix(target, [[f_base.apply(x) for x in row] for row in mat.rows])
+
     # frame transform: f^*(dlog T_j) = sum_l J[j][l] dlog T'_l
     J = []
     for j, (c, exps, h) in enumerate(f_base.images):
@@ -273,32 +268,17 @@ def pullback_ff(module: LogFFModule, f: RingMap, target_lift: FrobLift) -> LogFF
             term = RingElem.const(target, exps[l])
             row.append(term + h.log_derive(l + 1).scale(p) * inv)
         J.append(row)
+    connection = [mapped(mat) for mat in module.connection]
     new_connection = []
     for l in range(target.d):
         acc = Matrix.zeros(target, module.rank, module.rank)
         for j in range(module.spec.d):
-            mapped = module.connection[j].map_entries(f_base.apply)
-            acc = acc + mapped.scale(J[j][l])
+            acc = acc + connection[j].scale(J[j][l])
         new_connection.append(acc)
-    new_frobenius = module.frobenius.map_entries(f_base.apply) * comparison
+    new_frobenius = mapped(module.frobenius) * comparison
     return LogFFModule(target, module.hodge_range, list(module.basis), new_connection,
                        target_lift.with_precision(base_n), new_frobenius,
                        wide_range=module.wide_range)
-
-
-def modules_equal(m1: LogFFModule, m2: LogFFModule) -> bool:
-    """Entrywise equality of two modules' data modulo the row torsions.
-
-    The lifts must be equal too: phi is relative to the lift.
-    """
-    if (m1.spec, m1.hodge_range, m1.basis, m1.lift) != (m2.spec, m2.hodge_range, m2.basis,
-                                                        m2.lift):
-        return False
-    mods = m1.torsions
-    for a, b in zip(m1.connection, m2.connection):
-        if not a.eq_mod_rows(b, mods):
-            return False
-    return m1.frobenius.eq_mod_rows(m2.frobenius, mods)
 
 
 def check_pullback_functorial(module: LogFFModule, f: RingMap, g: RingMap,
@@ -314,4 +294,4 @@ def check_pullback_functorial(module: LogFFModule, f: RingMap, g: RingMap,
     g_w = g.with_precision(work_n)
     two_step = pullback_ff(pullback_ff(module, f_w, mid_lift), g_w, final_lift)
     one_step = pullback_ff(module, f_w.then(g_w), final_lift)
-    return modules_equal(two_step, one_step)
+    return two_step == one_step

@@ -184,6 +184,35 @@ class TestPullback:
         # dlog frame: connection unchanged by a rescaling
         assert doc["module"]["connection"] == [[["0", "1"], ["0", "0"]]]
 
+    def test_restriction_to_the_open_chart(self, fixture_dir, capsys):
+        code, out, err = run(capsys, "pullback", str(fixture_dir / "nil2_p5n1.json"),
+                             "--map", str(fixture_dir / "map_restrict_p5n1.json"),
+                             "--format", "json")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["module"]["ring"] == {"p": 5, "n": 1, "d": 1, "s": 0}
+        assert doc["module"]["connection"] == [[["0", "1"], ["0", "0"]]]
+        assert {k: v["status"] for k, v in doc["checks"].items()} == {
+            "flat": "pass", "griffiths": "pass", "horizontal": "pass", "strong_div": "pass"}
+
+    def test_diagonal_into_two_divisor_slots(self, fixture_dir, capsys, tmp_path):
+        from logff.logring import FrobLift, RingElem, RingMap, RingSpec
+        from logff.modfile import map_to_dict
+
+        source, plane = RingSpec(5, 1, 1, 1), RingSpec(5, 1, 2, 2)
+        diagonal = RingMap(source, plane, [(1, (1, 1), RingElem.zero(plane))])   # T -> T_1 T_2
+        path = tmp_path / "map_diagonal.json"
+        path.write_text(json.dumps(map_to_dict(diagonal, FrobLift.standard(plane))))
+        code, out, err = run(capsys, "pullback", str(fixture_dir / "nil2_p5n1.json"),
+                             "--map", str(path), "--format", "json")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["module"]["ring"] == {"p": 5, "n": 1, "d": 2, "s": 2}
+        # dlog T = dlog T_1 + dlog T_2: the residue lands on both divisor slots
+        assert doc["module"]["connection"] == [[["0", "1"], ["0", "0"]]] * 2
+        assert {k: v["status"] for k, v in doc["checks"].items()} == {
+            "flat": "pass", "griffiths": "pass", "horizontal": "pass", "strong_div": "pass"}
+
     @pytest.mark.parametrize("edit,where", [
         (lambda d: d.__setitem__("images", 0), "images"),
         (lambda d: d.__setitem__("target_lift", 0), "target_lift"),

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import random
+import sys
 
 import pytest
 
@@ -43,7 +44,6 @@ from logff.transport import (
     check_nonlog_agreement,
     check_pullback_functorial,
     glue_map,
-    modules_equal,
     pullback_ff,
     transport,
 )
@@ -264,16 +264,34 @@ class TestTransport:
             results = run_all_checks(moved)
             assert all(v.ok for v in results.values()), name
             back = transport(moved, mod.lift)
-            assert modules_equal(back, mod), name
+            assert back == mod, name
 
 
-def test_modules_equal_compares_the_lifts():
+def test_equality_compares_the_lifts():
     mod = nil2(5, 2)
     other_lift = FrobLift(mod.spec, [RingElem.one(mod.spec)])
     moved = mod.with_frobenius(mod.frobenius, other_lift)
-    assert moved != mod and not modules_equal(moved, mod) and not modules_equal(mod, moved)
+    assert moved != mod and mod != moved
     twin = mod.with_frobenius(mod.frobenius, FrobLift(mod.spec, list(mod.lift.u)))
-    assert twin.lift is not mod.lift and twin == mod and modules_equal(twin, mod)
+    assert twin.lift is not mod.lift and twin == mod
+
+
+def test_equality_is_modulo_the_row_torsions():
+    """The constructor reduces row i mod p^torsion_i, so == compares modulo the row torsions."""
+    mod = mixed_torsion(5, 2)   # torsions (1, 2), connection E_01, phi the identity
+    spec = mod.spec
+
+    def rebuilt(connection, frobenius):
+        return LogFFModule(spec, mod.hodge_range, mod.basis, [Matrix.from_ints(spec, connection)],
+                           mod.lift, Matrix.from_ints(spec, frobenius))
+    # p^torsion_i added to every entry of row i: 5 on row 0, 25 on row 1
+    shifted = rebuilt([[5, 6], [25, 25]], [[6, 5], [25, 26]])
+    assert shifted == mod and mod == shifted
+    # one entry of row 1 off by 5, which is below its torsion 25
+    assert rebuilt([[0, 1], [0, 5]], [[1, 0], [0, 1]]) != mod
+    assert rebuilt([[0, 1], [0, 0]], [[1, 0], [0, 6]]) != mod
+    # and one of row 0 off by 1, below its torsion 5
+    assert rebuilt([[0, 1], [0, 0]], [[1, 1], [0, 1]]) != mod
 
 
 class TestCoordinateRescaling:
@@ -307,7 +325,7 @@ class TestPullback:
     def test_identity_pullback(self):
         mod = nil2(5, 2)
         same = pullback_ff(mod, RingMap.identity(mod.spec), mod.lift)
-        assert modules_equal(same, mod)
+        assert same == mod
 
     def test_rescaling_keeps_dlog_connection(self):
         # dlog(cT) = dlog T, so the connection matrices are unchanged; the
@@ -343,7 +361,7 @@ class TestPullback:
         # two rescalings compose to the rescaling by the product
         two = pullback_ff(pullback_ff(mod, rescale2, phi), rescale3, phi)
         six = pullback_ff(mod, RingMap(spec, spec, [(6, (1,), zero)]), phi)
-        assert modules_equal(two, six)
+        assert two == six
 
     @pytest.mark.parametrize("p,n", [(3, 2), (5, 1), (5, 2)])
     def test_functoriality_random(self, p, n):
@@ -381,7 +399,7 @@ class TestMixedTorsionTransport:
         lift = random_lift(rng, mod.spec)
         moved = transport(mod, lift)
         assert all(v.ok for v in run_all_checks(moved).values())
-        assert modules_equal(transport(moved, mod.lift), mod)
+        assert transport(moved, mod.lift) == mod
 
 
 class TestHighPrecisionGlue:
@@ -399,7 +417,7 @@ class TestHighPrecisionGlue:
                 assert check_glue_linearity(mod, l1, l2, random_elem(rng, mod.spec))
             moved = transport(mod, l1)
             assert all(v.ok for v in run_all_checks(moved).values())
-            assert modules_equal(transport(moved, mod.lift), mod)
+            assert transport(moved, mod.lift) == mod
 
     def test_nonlog_at_n3(self):
         rng = random.Random(72)
@@ -487,7 +505,7 @@ class TestGlueCache:
         assert check_glue_cocycle(mod, l1, l2, mod.lift)
         assert check_glue_horizontal(mod, l1, l2)
         cache = mod._glue_cache
-        assert cache.operator_memos and cache.coeffs is not None and cache.valid_for_glue
+        assert cache.operator_memos and cache.glue is not None and cache.valid_for_glue
         assert cache.divided
         f = RingMap(mod.spec, mod.spec,
                     [(1, (1, 0), RingElem.variable(mod.spec, 1)),
@@ -497,7 +515,7 @@ class TestGlueCache:
         for other in derived:
             empty = other._glue_cache
             assert empty is not cache
-            assert (empty.operator_memos, empty.coeffs, empty.divided, empty.valid_for_glue) \
+            assert (empty.operator_memos, empty.glue, empty.divided, empty.valid_for_glue) \
                 == ({}, None, {}, False)
 
     def test_failing_gate_raises_on_every_call(self, fixture_dir):
@@ -520,6 +538,27 @@ class TestGlueCache:
         assert mod._glue_cache.operator_memos.keys() == memos.keys()
         assert all(mod._glue_cache.operator_memos[k] is memos[k] for k in memos)
 
+    def test_linearity_at_one_makes_no_operator_call(self, monkeypatch):
+        """r * e_k is e_k for r = 1, so the basis memos filled by the gluing answer
+        every index; a vector that is no basis vector calls the operator."""
+        mod = rank3_chain(5, 2)
+        l1, l2 = standard_pair(mod.spec)
+        glue = glue_map(mod, l1, l2)
+        real = ffmodule_module.falling_connection_op
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return real(*args, **kwargs)
+        # the module-level name, in every logff module that holds it
+        for name, module in list(sys.modules.items()):
+            if name.startswith("logff") and getattr(module, "falling_connection_op", None) is real:
+                monkeypatch.setattr(module, "falling_connection_op", counting)
+        assert check_glue_linearity(mod, l1, l2, RingElem.one(mod.spec))
+        assert calls == [] and mod._glue_cache.glue is glue
+        assert check_glue_linearity(mod, l1, l2, RingElem.variable(mod.spec, 1))
+        assert calls
+
     @pytest.mark.parametrize("factory", [lambda: nil2(5, 2, s=0), lambda: rank1_flat(5, 2, s=0, unit=2)])
     def test_ordinary_operator_memo_equals_slot_loop(self, factory):
         mod = factory()
@@ -539,6 +578,7 @@ class TestGlueCache:
 # -- equal lifts, shared constants and the gate set by run_all_checks ----------
 
 transport_module = importlib.import_module("logff.transport")
+ffmodule_module = importlib.import_module("logff.ffmodule")
 
 
 class _FullSweep(DividedCoeffs):
@@ -612,7 +652,7 @@ def test_pullback_along_the_identity_glues_equal_composites(factory):
     g1, g2 = ident.then(lift_w), lift_w.then(ident)
     assert g1 is not g2 and DividedCoeffs(g1, g2, b - a, base_n=mod.spec.n).all_zero
     assert glue_map(mod, g1, g2).matrix == Matrix.identity(mod.spec, mod.rank)
-    assert modules_equal(pullback_ff(mod, RingMap.identity(mod.spec), mod.lift), mod)
+    assert pullback_ff(mod, RingMap.identity(mod.spec), mod.lift) == mod
 
 
 def test_shared_zero_and_one_survive_checks_and_gluing(fixture_dir):
@@ -643,8 +683,8 @@ def test_run_all_checks_opens_the_gate_only_when_both_checks_pass(fixture_dir, m
 
     def unexpected(module):
         raise AssertionError("the gate was checked again")
-    monkeypatch.setattr(transport_module, "check_flat", unexpected)
-    monkeypatch.setattr(transport_module, "check_griffiths", unexpected)
+    monkeypatch.setattr(ffmodule_module, "check_flat", unexpected)
+    monkeypatch.setattr(ffmodule_module, "check_griffiths", unexpected)
     assert check_glue_identity(mod, lifts["Phi"])
 
 
