@@ -7,8 +7,9 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from logff.fixtures import mixed_torsion, negative_controls, nil2, rank3_chain
-from logff.logring import FrobLift, RingElem
+from logff.ffmodule import root_map
+from logff.fixtures import _chain, mixed_torsion, negative_controls, nil2, rank3_chain
+from logff.logring import FrobLift, RingElem, RingMap
 from logff.modfile import map_to_dict, module_to_dict
 
 OUT = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
@@ -51,8 +52,6 @@ def main():
     # map files against nil2_p5n1
     base = nil2(5, 1)
     spec = base.spec
-    from logff.ffmodule import root_map
-    from logff.logring import RingMap
     dump("map_root_p5n1.json", map_to_dict(root_map(spec, 1), FrobLift.standard(spec)))
     rescale = RingMap(spec, spec, [(2, (1,), RingElem.zero(spec))])
     dump("map_rescale2_p5n1.json", map_to_dict(rescale, FrobLift.standard(spec)))
@@ -67,17 +66,9 @@ def main():
 
     # wide Hodge window b - a = p - 1: rejected under strict mode, accepted
     # under wide-range (rank-3 chain at p = 3)
-    from logff.ffmodule import BasisVector, LogFFModule
-    from logff.matrices import Matrix
-    from logff.logring import RingSpec
-    spec3 = RingSpec(3, 2, 1, 1)
-    chain = LogFFModule(
-        spec3, (0, 2),
-        [BasisVector("e0", 0, 2), BasisVector("e1", 1, 2), BasisVector("e2", 2, 2)],
-        [Matrix.from_ints(spec3, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])],
-        FrobLift.standard(spec3), Matrix.identity(spec3, 3), wide_range=True)
+    chain = _chain(3, 2, 3, wide_range=True)
     wide = module_to_dict(chain, {"Phi": chain.lift,
-                                  "Psi": FrobLift(spec3, [RingElem.one(spec3)])}, "Phi")
+                                  "Psi": FrobLift(chain.spec, [RingElem.one(chain.spec)])}, "Phi")
     dump("wide_p3n2.json", wide)
 
 

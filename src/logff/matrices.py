@@ -45,9 +45,6 @@ class Matrix:
     def entry(self, i: int, k: int) -> RingElem:
         return self.rows[i][k]
 
-    def column(self, k: int) -> list[RingElem]:
-        return [r[k] for r in self.rows]
-
     def _check_same_shape(self, other: "Matrix"):
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch")

@@ -15,14 +15,7 @@ import time
 from .exactnum import NonIntegralError
 from .ffcoeff import falling_poly, structure_constants, verify_coeff_identity
 from .ffmodule import reduce_mod_pm, root_map, root_pullback, run_all_checks
-from .fixtures import (
-    check_corpus,
-    glue_corpus,
-    negative_controls,
-    nil2,
-    random_elem,
-    random_lift,
-)
+from .fixtures import corpus, negative_controls, nil2, random_elem, random_lift
 from .logring import RingElem, RingMap, RingSpec, taylor_residual
 from .transport import (
     check_glue_cocycle,
@@ -37,6 +30,12 @@ from .transport import (
 
 SEED = 0x10F7
 GRID_PN = [(3, 1), (3, 2), (5, 1), (5, 2)]
+
+
+def _expect(ok, message):
+    """Fail the running section; unlike an assert statement, `python -O` keeps it."""
+    if not ok:
+        raise AssertionError(message)
 
 
 def _section(fn):
@@ -55,7 +54,7 @@ def _section(fn):
 
 def _coeff_section(max_mn=8):
     for k in range(7):
-        assert verify_coeff_identity(k, 6), f"exponential identity fails at k={k}"
+        _expect(verify_coeff_identity(k, 6), f"exponential identity fails at k={k}")
     for m in range(max_mn + 1):
         for n in range(max_mn + 1):
             table = structure_constants(m, n)
@@ -64,7 +63,7 @@ def _coeff_section(max_mn=8):
             for k, c in table.table.items():
                 for i, fc in enumerate(falling_poly(k).coeffs):
                     rhs[i] += c * fc
-            assert list(lhs) + [0] * (len(rhs) - len(lhs)) == rhs, (m, n)
+            _expect(list(lhs) + [0] * (len(rhs) - len(lhs)) == rhs, (m, n))
     return {"pairs": (max_mn + 1) ** 2}
 
 
@@ -89,7 +88,7 @@ def _taylor_section(ns, per_cell, seed=SEED):
                         l2 = random_lift(rng, spec)
                         r = random_elem(rng, spec)
                         res = taylor_residual(r, l1, l2)
-                        assert res.is_zero(), f"taylor residual nonzero at {spec}"
+                        _expect(res.is_zero(), f"taylor residual nonzero at {spec}")
                     cells += 1
     return {"cells": cells, "per_cell": per_cell}
 
@@ -98,81 +97,79 @@ def _passes(module) -> bool:
     return all(v.ok for v in run_all_checks(module).values())
 
 
-def _module_section(pn_list):
-    count = 0
-    for p, n in pn_list:
-        for name, module in check_corpus(p, n):
-            results = run_all_checks(module)
-            bad = [k for k, v in results.items() if not v.ok]
-            assert not bad, f"{name}: {bad}"
-            count += 1
-    return {"modules": count}
+def _cells_corpus(cells):
+    return [fixture for p, n in cells for fixture in corpus(p, n)]
 
 
-def _glue_fixtures(cells):
-    return [fixture for p, n in cells for fixture in glue_corpus(p, n)]
+def _module_section(cells):
+    fixtures = _cells_corpus(cells)
+    for name, module in fixtures:
+        results = run_all_checks(module)
+        bad = [k for k, v in results.items() if not v.ok]
+        _expect(not bad, f"{name}: {bad}")
+    return {"modules": len(fixtures)}
 
 
 def _identity_section(cells, count, seed=SEED):
     """Each fixture's own lift and `count` random lifts glue to the identity."""
     rng = random.Random(seed)
-    fixtures = _glue_fixtures(cells)
+    fixtures = _cells_corpus(cells)
     for name, module in fixtures:
         for lift in [module.lift] + [random_lift(rng, module.spec) for _ in range(count)]:
-            assert check_glue_identity(module, lift), f"{name}: identity"
+            _expect(check_glue_identity(module, lift), f"{name}: identity")
     return {"fixtures": len(fixtures)}
 
 
 def _cocycle_section(cells, count, seed=SEED):
     rng = random.Random(seed)
-    for name, module in _glue_fixtures(cells):
+    for name, module in _cells_corpus(cells):
         for _ in range(count):
             l1, l2, l3 = (random_lift(rng, module.spec) for _ in range(3))
-            assert check_glue_cocycle(module, l1, l2, l3), f"{name}: cocycle"
+            _expect(check_glue_cocycle(module, l1, l2, l3), f"{name}: cocycle")
 
 
 def _horizontal_section(cells, count, seed=SEED):
     rng = random.Random(seed)
-    for name, module in _glue_fixtures(cells):
+    for name, module in _cells_corpus(cells):
         for _ in range(count):
             l1, l2 = random_lift(rng, module.spec), random_lift(rng, module.spec)
-            assert check_glue_horizontal(module, l1, l2), f"{name}: horizontality"
+            _expect(check_glue_horizontal(module, l1, l2), f"{name}: horizontality")
 
 
 def _linearity_section(cells, count, elements, seed=SEED):
     """`elements` random ring elements against each of `count` lift pairs."""
     rng = random.Random(seed)
-    for name, module in _glue_fixtures(cells):
+    for name, module in _cells_corpus(cells):
         for _ in range(count):
             l1, l2 = random_lift(rng, module.spec), random_lift(rng, module.spec)
             for _ in range(elements):
                 r = random_elem(rng, module.spec)
-                assert check_glue_linearity(module, l1, l2, r), f"{name}: linearity"
+                _expect(check_glue_linearity(module, l1, l2, r), f"{name}: linearity")
 
 
 def _transport_section(cells, count, seed=SEED):
     """Transport to random lifts keeps every check passing; transport back gives the fixture."""
     rng = random.Random(seed)
-    for name, module in _glue_fixtures(cells):
-        assert _passes(module), f"{name}: fixture fails a check"
+    for name, module in _cells_corpus(cells):
+        _expect(_passes(module), f"{name}: fixture fails a check")
         for _ in range(count):
             moved = transport(module, random_lift(rng, module.spec))
-            assert _passes(moved), f"{name}: transported module fails a check"
-            assert transport(moved, module.lift) == module, f"{name}: transport back"
+            _expect(_passes(moved), f"{name}: transported module fails a check")
+            _expect(transport(moved, module.lift) == module, f"{name}: transport back")
 
 
 def _nonlog_section(cells, seed=SEED):
     """One random lift pair per fixture without divisor (s = 0)."""
     rng = random.Random(seed)
-    fixtures = [(name, module) for name, module in _glue_fixtures(cells) if module.spec.s == 0]
+    fixtures = [(name, module) for name, module in _cells_corpus(cells) if module.spec.s == 0]
     for name, module in fixtures:
         l1, l2 = random_lift(rng, module.spec), random_lift(rng, module.spec)
-        assert check_nonlog_agreement(module, l1, l2), f"{name}: nonlog"
+        _expect(check_nonlog_agreement(module, l1, l2), f"{name}: nonlog")
     return {"fixtures": len(fixtures)}
 
 
 def _glue_section(cells, count, elements):
-    """The six gluing bullets over glue_corpus(cells)."""
+    """The six gluing bullets over the corpus of every cell."""
     fixtures = _identity_section(cells, count)["fixtures"]
     _cocycle_section(cells, count)
     _horizontal_section(cells, count)
@@ -197,8 +194,8 @@ def _functoriality_section(cells, seed=SEED):
         maps = [ident, RingMap(spec, spec, [(2, (1,), RingElem.zero(spec))]),
                 RingMap(spec, spec, [(1, (1,), t)]), RingMap(spec, spec, [(p + 1, (1,), t)]),
                 root_map(spec, n)]
-        assert pullback_ff(module, ident, module.lift) == module, \
-            f"p={p} n={n}: identity pullback"
+        _expect(pullback_ff(module, ident, module.lift) == module,
+                f"p={p} n={n}: identity pullback")
         gm, plane, chart = spec.localized(), RingSpec(p, n, 2, 2), RingSpec(p, n, 2, 1)
         ring_changing = [
             (RingMap(spec, gm, [(1, (1,), RingElem.zero(gm))]),
@@ -207,23 +204,23 @@ def _functoriality_section(cells, seed=SEED):
              RingMap(plane, chart, [(1, e, RingElem.zero(chart)) for e in ((1, 0), (0, 1))]))]
         for f, g in [(f, g) for f in maps for g in maps] + ring_changing:
             mid, fin = random_lift(rng, f.target), random_lift(rng, g.target)
-            assert check_pullback_functorial(module, f, g, mid, fin), \
-                f"p={p} n={n}: functoriality"
+            _expect(check_pullback_functorial(module, f, g, mid, fin),
+                    f"p={p} n={n}: functoriality")
             pairs += 1
     return {"map_pairs": pairs}
 
 
 def _pole_killing_section(cells):
     """The root cover of depth 1, n and n + 1 kills every divisor-slot connection."""
-    for p, n in cells:
-        for name, module in check_corpus(p, n):
-            for depth in sorted({1, n, n + 1}):
-                rolled = root_pullback(reduce_mod_pm(module, min(depth, n)), depth)
-                assert all(rolled.connection[j].is_zero() for j in range(rolled.spec.s)), \
-                    f"{name} depth {depth}: pole killing"
-                assert _passes(rolled), f"{name} depth {depth}: root pullback validity"
-    assert all(mat.is_zero() for mat in root_pullback(nil2(5, 1), 1).connection), \
-        "nil2 p=5 n=1 depth 1: connection not identically 0"
+    for name, module in _cells_corpus(cells):
+        n = module.spec.n
+        for depth in sorted({1, n, n + 1}):
+            rolled = root_pullback(reduce_mod_pm(module, min(depth, n)), depth)
+            _expect(all(rolled.connection[j].is_zero() for j in range(rolled.spec.s)),
+                    f"{name} depth {depth}: pole killing")
+            _expect(_passes(rolled), f"{name} depth {depth}: root pullback validity")
+    _expect(all(mat.is_zero() for mat in root_pullback(nil2(5, 1), 1).connection),
+            "nil2 p=5 n=1 depth 1: connection not identically 0")
 
 
 def _pullback_section(functor_cells, pole_cells):
@@ -233,11 +230,12 @@ def _pullback_section(functor_cells, pole_cells):
 
 
 def _negative_section():
-    for name, module, expected in negative_controls(5, 2):
+    controls = negative_controls(5, 2)
+    for name, module, expected in controls:
         results = run_all_checks(module)
         failing = [k for k, v in results.items() if not v.ok and not v.skipped]
-        assert failing == [expected], f"{name}: failed {failing}, expected [{expected}]"
-    return {"controls": len(negative_controls(5, 2))}
+        _expect(failing == [expected], f"{name}: failed {failing}, expected [{expected}]")
+    return {"controls": len(controls)}
 
 
 def run_selftest(quick: bool = False) -> dict:

@@ -10,7 +10,7 @@ import time
 
 from logff import selftest as grid
 from logff.ffmodule import tilde_embed
-from logff.fixtures import check_corpus, nil2, random_elem
+from logff.fixtures import corpus, nil2, random_elem
 from logff.logring import FrobLift, RingElem
 from logff.matrices import Matrix
 from logff.selftest import GRID_PN
@@ -98,7 +98,7 @@ def test_a11_structure_checks():
     rng = random.Random(0xA11)
     # tilde relation emb_i = p * emb_{i+1} on Fil^{i+1}
     for p, n in GRID_PN:
-        for name, mod in check_corpus(p, n):
+        for name, mod in corpus(p, n):
             a, b = mod.hodge_range
             for i in range(a, b):
                 vec = [random_elem(rng, mod.spec) if v.level >= i + 1
@@ -107,7 +107,7 @@ def test_a11_structure_checks():
                 rhs = [x.scale(mod.spec.p) for x in tilde_embed(mod, vec, i + 1)]
                 if not all(le.eq_mod(ri, v.torsion) for le, ri, v in zip(lhs, rhs, mod.basis)):
                     failures.append(f"tilde relation: {name} level {i}")
-    # every check_corpus module, NIL2 with F = identity among them, passes all four checks
+    # every corpus module, NIL2 with F = identity among them, passes all four checks
     _run_section(grid._module_section, failures, GRID_PN)
     # negative controls fail exactly the intended check
     _run_section(grid._negative_section, failures)

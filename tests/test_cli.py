@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -361,6 +364,24 @@ class TestSelftest:
                                 ran.add(_name) or _real(*args, **kwargs))
         assert selftest.run_selftest(quick=True)["ok"]
         assert ran == names
+
+    def test_optimized_interpreter_keeps_the_grid_checks(self, fixture_dir):
+        """Under `python -O` a section whose identity fails still fails: the
+        grid's checks are not assert statements, which -O strips."""
+        sabotage = (
+            "import json\n"
+            "from logff import selftest\n"
+            "from logff.logring import RingElem\n"
+            "selftest.taylor_residual = lambda r, l1, l2: RingElem.one(r.spec)\n"
+            "print(json.dumps(selftest.run_selftest(quick=True)))\n")
+        env = dict(os.environ, PYTHONPATH=str(fixture_dir.parent / "src"))
+        proc = subprocess.run([sys.executable, "-O", "-c", sabotage], env=env,
+                              capture_output=True, text=True, check=True)
+        report = json.loads(proc.stdout)
+        assert report["ok"] is False
+        assert report["sections"]["taylor"]["assertion"].startswith("taylor residual nonzero")
+        assert all(section["ok"] for name, section in report["sections"].items()
+                   if name != "taylor")
 
 
 class TestNonIntegralExitCode:

@@ -23,8 +23,7 @@ from logff.ffmodule import (
     tilde_embed,
 )
 from logff.fixtures import (
-    check_corpus,
-    glue_corpus,
+    corpus,
     mixed_torsion,
     negative_controls,
     nil2,
@@ -102,7 +101,7 @@ class TestTilde:
     def test_tilde_relation_on_corpus(self, p, n):
         # emb_i = p * emb_{i+1} on Fil^{i+1}, for all fixtures and levels
         rng = random.Random(p + n)
-        for name, mod in check_corpus(p, n):
+        for name, mod in corpus(p, n):
             a, b = mod.hodge_range
             for i in range(a, b):
                 vec = [random_elem(rng, mod.spec) if v.level >= i + 1
@@ -140,7 +139,7 @@ class TestDividedConnection:
 
     def test_never_nonintegral_when_griffiths_holds(self):
         for p, n in [(3, 1), (3, 2), (5, 2)]:
-            for name, mod in check_corpus(p, n):
+            for name, mod in corpus(p, n):
                 divided_connection(mod)  # must not raise
 
     def test_nonintegral_on_griffiths_violation(self):
@@ -270,7 +269,7 @@ class TestReduceModPm:
 
     @pytest.mark.parametrize("p,n", [(3, 2), (5, 2)])
     def test_reduction_commutes_with_checks(self, p, n):
-        for name, mod in check_corpus(p, n):
+        for name, mod in corpus(p, n):
             for m in range(1, n):
                 red = reduce_mod_pm(mod, m)
                 results = run_all_checks(red)
@@ -314,10 +313,9 @@ class TestOperatorIdentity:
 
 
 def _memo_corpus():
-    out = glue_corpus(5, 2)
+    out = corpus(5, 2)
     base = nil2(5, 2, d=2, s=1)
     out.append(("transported", transport(base, random_lift(random.Random(17), base.spec))))
-    out.append(("pulled_back", pulled_back_nil2(5, 2)))
     return out
 
 

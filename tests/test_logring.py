@@ -478,7 +478,7 @@ def test_divided_coeffs_against_fraction_oracle():
 from fractions import Fraction  # noqa: E402
 
 from logff.exactnum import NonIntegralError, factorial_valp, reduce_mod  # noqa: E402
-from logff.fixtures import glue_corpus  # noqa: E402
+from logff.fixtures import corpus  # noqa: E402
 from logff.logring import multi_factorial, work_precision  # noqa: E402
 
 
@@ -552,9 +552,9 @@ def _assert_engines_agree(g1, g2, width, mode="ratio", base_n=None, every_expone
     return raised
 
 
-@pytest.mark.parametrize("name", [name for name, _ in glue_corpus(5, 2)])
+@pytest.mark.parametrize("name", [name for name, _ in corpus(5, 2)])
 def test_divided_coeffs_match_reference_on_glue_corpus(name):
-    module = dict(glue_corpus(5, 2))[name]
+    module = dict(corpus(5, 2))[name]
     rng = random.Random(f"coeff-differential:{name}")
     a, b = module.hodge_range
     g1 = random_lift(rng, module.spec)

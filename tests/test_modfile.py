@@ -1,3 +1,4 @@
+import importlib.util
 import json
 
 import pytest
@@ -101,6 +102,20 @@ def test_disk_corpus_round_trips(fixture_dir):
         module2, lifts2 = parse_module_file(out, wide_range=wide)
         assert module2 == module, path.name
         assert lifts2 == lifts, path.name
+
+
+def test_generator_rewrites_the_disk_corpus(fixture_dir, tmp_path, monkeypatch, capsys):
+    """scripts/gen_fixtures.py writes fixtures/ byte for byte, with no file missing or extra."""
+    script = fixture_dir.parent / "scripts" / "gen_fixtures.py"
+    spec = importlib.util.spec_from_file_location("gen_fixtures", script)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    monkeypatch.setattr(gen, "OUT", tmp_path)
+    gen.main()
+    written = sorted(path.name for path in tmp_path.iterdir())
+    assert written == sorted(path.name for path in fixture_dir.iterdir())
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (fixture_dir / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("edit,message", [

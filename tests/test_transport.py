@@ -15,7 +15,7 @@ from logff.ffmodule import (
     run_all_checks,
 )
 from logff.fixtures import (
-    glue_corpus,
+    corpus,
     mixed_torsion,
     nil2,
     rank1_flat,
@@ -142,7 +142,7 @@ class TestGlueProperties:
     @pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (5, 1), (5, 2)])
     def test_identity_bullet(self, p, n):
         rng = random.Random(61 + p + n)
-        for name, mod in glue_corpus(p, n):
+        for name, mod in corpus(p, n):
             assert check_glue_identity(mod, mod.lift), name
             assert check_glue_identity(mod, random_lift(rng, mod.spec)), name
 
@@ -154,7 +154,7 @@ class TestGlueProperties:
     @pytest.mark.parametrize("p,n", [(3, 2), (5, 1), (5, 2)])
     def test_cocycle_and_inverse(self, p, n):
         rng = random.Random(62 + p + n)
-        for name, mod in glue_corpus(p, n):
+        for name, mod in corpus(p, n):
             l1, l2, l3 = (random_lift(rng, mod.spec) for _ in range(3))
             assert check_glue_cocycle(mod, l1, l2, l3), name
             # inverse property: G_{21} G_{12} = identity
@@ -166,7 +166,7 @@ class TestGlueProperties:
     @pytest.mark.parametrize("p,n", [(3, 2), (5, 2)])
     def test_linearity(self, p, n):
         rng = random.Random(63 + p + n)
-        for name, mod in glue_corpus(p, n):
+        for name, mod in corpus(p, n):
             l1, l2 = random_lift(rng, mod.spec), random_lift(rng, mod.spec)
             assert check_glue_linearity(mod, l1, l2, RingElem.one(mod.spec))
             c = RingElem.const(mod.spec, 2)
@@ -178,7 +178,7 @@ class TestGlueProperties:
     @pytest.mark.parametrize("p,n", [(3, 2), (5, 2)])
     def test_horizontality(self, p, n):
         rng = random.Random(64 + p + n)
-        for name, mod in glue_corpus(p, n):
+        for name, mod in corpus(p, n):
             l1, l2 = random_lift(rng, mod.spec), random_lift(rng, mod.spec)
             assert check_glue_horizontal(mod, l1, l2), name
 
@@ -229,7 +229,7 @@ class TestNonLogAgreement:
     @pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (5, 2)])
     def test_random_lifts_on_s0_corpus(self, p, n):
         rng = random.Random(65 + p + n)
-        for name, mod in glue_corpus(p, n):
+        for name, mod in corpus(p, n):
             if mod.spec.s != 0:
                 continue
             l1, l2 = random_lift(rng, mod.spec), random_lift(rng, mod.spec)
@@ -258,7 +258,7 @@ class TestTransport:
     @pytest.mark.parametrize("p,n", [(3, 2), (5, 1), (5, 2)])
     def test_preserves_validity_and_double_transport(self, p, n):
         rng = random.Random(66 + p + n)
-        for name, mod in glue_corpus(p, n):
+        for name, mod in corpus(p, n):
             lift = random_lift(rng, mod.spec)
             moved = transport(mod, lift)
             results = run_all_checks(moved)
