@@ -28,8 +28,6 @@ from .logring import (
 )
 from .exprparse import ParseError, parse_expr
 from .ffcoeff import (
-    FallingPoly,
-    CoeffTable,
     falling_poly,
     multi_structure_constants,
     structure_constants,

@@ -1,125 +1,63 @@
 """Falling-factorial basis combinatorics.
 
 f_m(X) = X(X-1)...(X-m+1) is monic of degree m and {f_m} is a basis of Q[X],
-so products f_m*f_n expand uniquely as sum_k a_{mn}^k f_k.  These structure
-constants govern how the operators prod(delta_j - k) compose, and they enter
-the transitivity of the gluing isomorphism through the exponential identity
+so products f_m*f_n expand uniquely as sum_k a_{mn}^k f_k.  The constants
+have the closed form
+
+    a_{mn}^{m+n-j} = C(m, j) C(n, j) j!      for 0 <= j <= min(m, n)
+
+(choose j of the m and j of the n factors to coincide, and match them), so
+they are positive integers with max(m, n) <= k <= m + n by construction.
+They govern how the operators prod(delta_j - k) compose, and they enter the
+transitivity of the gluing isomorphism through the exponential identity
 
     sum_{m,n} a_{mn}^k (X-1)^m/m! (Y-1)^n/n! = (XY-1)^k / k!
 
 which `verify_coeff_identity` checks degree by degree in exact rationals.
+The results are plain values: `falling_poly` a tuple of ints,
+`structure_constants` a new `{k: a}` dict on each call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import factorial
-
-Poly = tuple[Fraction, ...]  # ascending coefficients, no trailing zeros
+from math import comb, factorial
 
 
-@dataclass(frozen=True)
-class FallingPoly:
-    """f_m in the monomial basis; coefficients ascending, leading coefficient 1."""
-
-    degree: int
-    coeffs: tuple[int, ...]
-
-    def __call__(self, x: int) -> int:
-        return sum(c * x ** i for i, c in enumerate(self.coeffs))
-
-
-@dataclass(frozen=True)
-class CoeffTable:
-    """The expansion f_m*f_n = sum_k a_{mn}^k f_k; zero entries omitted."""
-
-    m: int
-    n: int
-    table: dict[int, int]
-
-    def __getitem__(self, k: int) -> int:
-        return self.table.get(k, 0)
-
-
-def _trim(coeffs: list[Fraction]) -> Poly:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
-
-
-def _poly_mul(a: Poly, b: Poly) -> Poly:
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return _trim(out)
-
-
-def _poly_sub(a: Poly, b: Poly) -> Poly:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] -= c
-    return _trim(out)
-
-
-@lru_cache(maxsize=None)
-def _falling_monomial(m: int) -> Poly:
-    if m == 0:
-        return (Fraction(1),)
-    prev = _falling_monomial(m - 1)
-    # multiply by (X - (m-1))
-    return _poly_sub(_poly_mul(prev, (Fraction(0), Fraction(1))),
-                     _poly_mul(prev, (Fraction(m - 1),)))
-
-
-def falling_poly(m: int) -> FallingPoly:
-    """Exact coefficients of f_m(X) = X(X-1)...(X-m+1), with f_0 = 1."""
+def falling_poly(m: int) -> tuple[int, ...]:
+    """Ascending integer coefficients of f_m(X) = X(X-1)...(X-m+1), with f_0 = 1."""
     if m < 0:
         raise ValueError("degree must be nonnegative")
-    coeffs = _falling_monomial(m)
-    assert all(c.denominator == 1 for c in coeffs)
-    return FallingPoly(m, tuple(int(c) for c in coeffs))
+    coeffs = (1,)
+    for t in range(m):
+        # multiply by (X - t): coefficient i becomes c_{i-1} - t*c_i
+        coeffs = tuple(a - t * b for a, b in zip((0,) + coeffs, coeffs + (0,)))
+    return coeffs
 
 
 def to_falling_basis(poly) -> tuple[Fraction, ...]:
     """Coefficients c_k with poly = sum c_k f_k, by top-down exact division.
 
     Accepts ascending monomial coefficients (ints or Fractions).  The f_m are
-    monic, so the top coefficient is read off directly at each step.
+    monic, so the top coefficient is read off directly at each step.  The
+    result has no trailing zeros, except that the zero polynomial gives (0,).
     """
-    work = _trim([Fraction(c) for c in poly])
-    out = [Fraction(0)] * max(len(work), 1)
-    while work:
-        k = len(work) - 1
-        c = work[-1]
-        out[k] = c
-        work = _poly_sub(work, _poly_mul((c,), _falling_monomial(k)))
-        if len(work) > k:
-            raise AssertionError("division did not reduce the degree")
+    work = [Fraction(c) for c in poly] or [Fraction(0)]
+    top = max((i for i, c in enumerate(work) if c), default=0)
+    out = [Fraction(0)] * (top + 1)
+    for k in range(top, -1, -1):
+        out[k] = c = work[k]
+        for i, fc in enumerate(falling_poly(k)):
+            work[i] -= c * fc
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def structure_constants(m: int, n: int) -> CoeffTable:
-    """a_{mn}^k with f_m*f_n = sum_k a_{mn}^k f_k; entries are nonnegative integers."""
+def structure_constants(m: int, n: int) -> dict[int, int]:
+    """a_{mn}^k with f_m*f_n = sum_k a_{mn}^k f_k, ascending in k; zeros omitted."""
     if m < 0 or n < 0:
         raise ValueError("indices must be nonnegative")
-    product = _poly_mul(_falling_monomial(m), _falling_monomial(n))
-    coeffs = to_falling_basis(product)
-    table = {}
-    for k, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        assert c.denominator == 1 and c > 0, f"a_({m},{n})^{k} = {c}"
-        assert max(m, n) <= k <= m + n
-        table[k] = int(c)
-    return CoeffTable(m, n, table)
+    return {m + n - j: comb(m, j) * comb(n, j) * factorial(j)
+            for j in range(min(m, n), -1, -1)}
 
 
 def multi_structure_constants(I: tuple[int, ...], J: tuple[int, ...]) -> dict[tuple[int, ...], int]:
@@ -128,7 +66,7 @@ def multi_structure_constants(I: tuple[int, ...], J: tuple[int, ...]) -> dict[tu
         raise ValueError("multi-indices must have the same length")
     out: dict[tuple[int, ...], int] = {(): 1}
     for il, jl in zip(I, J):
-        table = structure_constants(il, jl).table
+        table = structure_constants(il, jl)
         out = {prefix + (k,): c * a for prefix, c in out.items() for k, a in table.items()}
     return out
 
@@ -145,7 +83,7 @@ def verify_coeff_identity(k: int, bound: int) -> bool:
         for n in range(k + 1):
             if m + n < k:
                 continue
-            a = structure_constants(m, n)[k]
+            a = structure_constants(m, n).get(k, 0)
             if a:
                 lhs[(m, n)] = Fraction(a, factorial(m) * factorial(n))
     rhs: dict[tuple[int, int], Fraction] = {}

@@ -58,10 +58,10 @@ def _coeff_section(max_mn=8):
     for m in range(max_mn + 1):
         for n in range(max_mn + 1):
             table = structure_constants(m, n)
-            lhs = _poly_mul_int(falling_poly(m).coeffs, falling_poly(n).coeffs)
+            lhs = _poly_mul_int(falling_poly(m), falling_poly(n))
             rhs = [0] * max(len(lhs), m + n + 1)
-            for k, c in table.table.items():
-                for i, fc in enumerate(falling_poly(k).coeffs):
+            for k, c in table.items():
+                for i, fc in enumerate(falling_poly(k)):
                     rhs[i] += c * fc
             _expect(list(lhs) + [0] * (len(rhs) - len(lhs)) == rhs, (m, n))
     return {"pairs": (max_mn + 1) ** 2}

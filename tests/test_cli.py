@@ -330,13 +330,20 @@ class TestCoeffs:
         assert code == 0
         assert json.loads(out)["tables"] == {"a[0,0]": {"0": 1}}
 
-    @pytest.mark.parametrize("bad", ["-1", "two"])
+    @pytest.mark.parametrize("bad", ["-1", "two", "65"])
     def test_negative_or_non_integer_max_is_refused(self, capsys, bad):
         with pytest.raises(SystemExit) as info:
             main(["coeffs", "--max", bad])
         assert info.value.code == 2
         out = capsys.readouterr()
-        assert not out.out and "--max" in out.err
+        assert not out.out and "--max" in out.err and "Traceback" not in out.err
+
+    def test_max_at_the_bound(self, capsys):
+        code, out, _ = run(capsys, "coeffs", "--max", "64", "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert len(doc["tables"]) == 65 * 65
+        assert doc["tables"]["a[64,64]"]["128"] == 1
 
 
 class TestSelftest:

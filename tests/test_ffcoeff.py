@@ -1,6 +1,4 @@
 from fractions import Fraction
-from math import comb, factorial
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,36 +11,41 @@ from logff.ffcoeff import (
 )
 
 
-def closed_form_constant(m: int, n: int, k: int) -> int:
-    """Cross-check value a_{mn}^{m+n-j} = C(m,j) C(n,j) j! with j = m+n-k."""
-    j = m + n - k
-    if j < 0 or j > min(m, n):
-        return 0
-    return comb(m, j) * comb(n, j) * factorial(j)
-
-
 def test_falling_poly_examples():
-    assert falling_poly(2).coeffs == (0, -1, 1)          # X^2 - X
-    assert falling_poly(0).coeffs == (1,)
-    assert falling_poly(3).coeffs == (0, 2, -3, 1)       # X^3 - 3X^2 + 2X
+    assert falling_poly(2) == (0, -1, 1)          # X^2 - X
+    assert falling_poly(0) == (1,)
+    assert falling_poly(3) == (0, 2, -3, 1)       # X^3 - 3X^2 + 2X
+    with pytest.raises(ValueError):
+        falling_poly(-1)
 
 
 def test_falling_poly_roots_and_leading():
     for m in range(1, 9):
         f = falling_poly(m)
-        assert f.coeffs[-1] == 1
+        assert f[-1] == 1 and all(type(c) is int for c in f)
+
+        def value(x):
+            return sum(c * x ** i for i, c in enumerate(f))
+
         for k in range(m):
-            assert f(k) == 0
-        assert f(m) != 0
+            assert value(k) == 0
+        assert value(m) != 0
 
 
 def test_to_falling_basis_examples():
     # X^2 = f_1 + f_2: oracle by expanding X(X-1) + X
     assert to_falling_basis([0, 0, 1]) == (0, 1, 1)
-    f5 = falling_poly(5).coeffs
-    out = to_falling_basis(f5)
+    out = to_falling_basis(falling_poly(5))
     assert out == (0, 0, 0, 0, 0, 1)
     assert to_falling_basis([7]) == (Fraction(7),)
+
+
+def test_to_falling_basis_drops_trailing_zeros():
+    assert to_falling_basis([7, 0, 0]) == (Fraction(7),)
+    assert to_falling_basis([]) == (Fraction(0),)
+    assert to_falling_basis([0, 0]) == (Fraction(0),)
+    assert to_falling_basis([0, 0, Fraction(1, 2), 0]) == (0, Fraction(1, 2), Fraction(1, 2))
+    assert all(type(c) is Fraction for c in to_falling_basis([1, 2, 0]))
 
 
 @given(st.lists(st.integers(min_value=-20, max_value=20), min_size=1, max_size=7))
@@ -50,28 +53,36 @@ def test_to_falling_basis_round_trip(coeffs):
     out = to_falling_basis(coeffs)
     rebuilt = [Fraction(0)] * max(len(coeffs), 1)
     for k, c in enumerate(out):
-        f = falling_poly(k).coeffs
-        for i, fc in enumerate(f):
+        for i, fc in enumerate(falling_poly(k)):
             rebuilt[i] += c * fc
     padded = [Fraction(c) for c in coeffs] + [Fraction(0)] * (len(rebuilt) - len(coeffs))
     assert rebuilt == padded
 
 
 def test_structure_constants_examples():
-    assert structure_constants(1, 1).table == {1: 1, 2: 1}
-    assert structure_constants(4, 0).table == {4: 1}
-    assert structure_constants(1, 2).table == {2: 2, 3: 1}
+    assert structure_constants(1, 1) == {1: 1, 2: 1}
+    assert structure_constants(4, 0) == {4: 1}
+    assert structure_constants(1, 2) == {2: 2, 3: 1}
+    assert list(structure_constants(3, 2)) == [3, 4, 5]
+    with pytest.raises(ValueError):
+        structure_constants(-1, 2)
+
+
+def test_structure_constants_are_fresh_dicts():
+    table = structure_constants(2, 2)
+    table[4] = 99
+    table.clear()
+    assert structure_constants(2, 2) == {2: 2, 3: 4, 4: 1}
 
 
 def test_structure_constants_invariants():
     for m in range(9):
         for n in range(9):
             table = structure_constants(m, n)
-            assert table.table == structure_constants(n, m).table
-            for k, c in table.table.items():
+            assert table == structure_constants(n, m)
+            for k, c in table.items():
                 assert max(m, n) <= k <= m + n
                 assert isinstance(c, int) and c > 0
-                assert c == closed_form_constant(m, n, k)
             assert table[m + n] == 1
 
 
@@ -87,10 +98,10 @@ def test_product_identity_exact():
     for m in range(9):
         for n in range(9):
             lhs = [0] * (m + n + 1)
-            for k, c in structure_constants(m, n).table.items():
-                for i, fc in enumerate(falling_poly(k).coeffs):
+            for k, c in structure_constants(m, n).items():
+                for i, fc in enumerate(falling_poly(k)):
                     lhs[i] += c * fc
-            rhs = mul(list(falling_poly(m).coeffs), list(falling_poly(n).coeffs))
+            rhs = mul(falling_poly(m), falling_poly(n))
             rhs += [0] * (len(lhs) - len(rhs))
             assert lhs == rhs
 
