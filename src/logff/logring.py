@@ -11,7 +11,8 @@ Internally the 1-form frame is dlog T_j = dT_j/T_j for every slot, with dual
 derivations delta_j = T_j d/dT_j; non-divisor slots are Laurent so this loses
 nothing.  Divided coefficients such as (Phi(T)/Psi(T)-1)^I / I! are computed
 at a raised precision, each power only as far as its own division reads and
-never beyond the working precision; each coefficient is then divided by the
+never beyond the working precision, from base quantities x_j held only to
+the digits those divisions read; each coefficient is then divided by the
 power of p in I! * p^e with a checked integer division (a nonzero remainder
 raises `exactnum.NonIntegralError`) and multiplied by the inverse of the
 unit part of I!, which `exactnum.reduce_mod` supplies.  So every division
@@ -164,6 +165,14 @@ def falling_product(exps: tuple[int, ...], index: tuple[int, ...]) -> int:
             if f == 0:
                 break
     return f
+
+
+def _falling_table(x: int, stop: int) -> list[int]:
+    """[falling(x, i) for i < stop], by falling(x, i + 1) = falling(x, i) * (x - i)."""
+    out = [1]
+    for i in range(stop - 1):
+        out.append(out[-1] * (x - i))
+    return out
 
 
 def _slot0(spec: RingSpec, j: int) -> int:
@@ -536,13 +545,17 @@ class RingMap:
     def _image_pow(self, j0: int, e: int) -> RingElem:
         """f(T_j)^e for j = j0 + 1 and e != 0, memoized per (slot, exponent).
 
-        A negative e occurs only on a Laurent slot, whose image __init__ has
-        proved to be the unit monomial T^E_j * unit(j).
+        A positive power whose predecessor f(T_j)^(e-1) is memoized is that
+        power times f(T_j); any other is built by repeated squaring, with no
+        recursion, so a huge e costs only log e products.  A negative e
+        occurs only on a Laurent slot, whose image __init__ has proved to be
+        the unit monomial T^E_j * unit(j).
         """
         got = self._pows.get((j0, e))
         if got is None:
             if e > 0:
-                got = self._elems[j0] ** e
+                prev = self._pows.get((j0, e - 1))
+                got = self._elems[j0] ** e if prev is None else prev * self._elems[j0]
             else:
                 exps = tuple(-x for x in self.images[j0][1])
                 inv = RingElem.monomial(self.target, exps) * self.unit_inverse(j0 + 1)
@@ -707,6 +720,23 @@ def work_precision(p: int, base_n: int, width: int) -> int:
     return base_n + width + stop_shell(p, base_n, width) // (p - 1) + 1
 
 
+@cache
+def _x_precision(p: int, base_n: int, width: int) -> int:
+    """The digits of the x_j that `DividedCoeffs` holds: the most any shell sum reads.
+
+    A shell sum asks coeff(I, e) with c = |I| < stop_shell and
+    e <= min(width, c), which reads x^I mod p^(base_n + e + v_p(I!)), and
+    v_p(I!) <= v_p(c!).  Every x_j is divisible by p, so changing one by a
+    multiple of p^k changes x^I by a multiple of p^(k + c - 1): x^I mod p^m
+    reads the x_j only mod p^(m - c + 1).  That is base_n digits at width 0
+    and base_n + 1 at the widths a module allows, never more than
+    work_precision.  Cached, like stop_shell.
+    """
+    top = max((min(width, c) + factorial_valp(c, p) - c + 1
+               for c in range(1, stop_shell(p, base_n, width))), default=0)
+    return min(work_precision(p, base_n, width), base_n + top)
+
+
 # -- valuation-graded products on packed keys -----------------------------------
 
 
@@ -776,6 +806,29 @@ def _graded_sums(left: dict, right: dict, m: int) -> dict[int, int]:
 def _top_exponent(x: RingElem) -> int:
     """max |E_j| over the terms of x (0 for x = 0)."""
     return max((abs(e) for exps in x.terms for e in exps), default=0)
+
+
+def _x_exponent_bound(g1: RingMap, g2: RingMap, mode: str, work_n: int) -> int:
+    """A bound on |exponent| in every x_j that `DividedCoeffs` builds at any precision <= work_n.
+
+    It reads only the maps' images c * T^E * (1 + p*h), whose h keep their
+    monomials when a map is read at a higher precision and lose some at a
+    lower one, so the monomials of x_j at any precision are among those the
+    bound covers.  With M(h) the top |exponent| of h: in mode "ratio"
+    x_j = (num - den) * den^(-1), num - den has exponents within
+    max(M(h1), M(h2)), and the series of den^(-1) sums at most work_n - 1
+    powers of a z with den's exponents; in mode "difference" x_j is
+    g1(T_j) - g2(T_j), within max |E| + max(M(h1), M(h2)).
+    """
+    bound = 0
+    for (_, e1, h1), (_, e2, h2) in zip(g1.images, g2.images):
+        m1, m2 = _top_exponent(h1), _top_exponent(h2)
+        if mode == "ratio":
+            top = max(m1, m2) + (work_n - 1) * m2
+        else:
+            top = max(map(abs, e1 + e2), default=0) + max(m1, m2)
+        bound = max(bound, top)
+    return bound
 
 
 def _pack(exps: tuple[int, ...], half: int) -> int:
@@ -852,17 +905,29 @@ class DividedCoeffs:
     In the default mode="ratio" the base quantity is
     x_j = (num_j - den_j) * den_j^(-1), with num_j and den_j the unit parts of
     g1(T_j) and g2(T_j) (`RingMap.unit`, inverse `RingMap.unit_inverse`) at
-    the working precision.  In Z/p^work_n this is exactly
+    the precision x is held at.  In Z/p^m this is exactly
     num_j * den_j^(-1) - 1, because den_j * den_j^(-1) = 1 there; when
     num_j = den_j, x_j = 0 and no inverse is computed.  With
     mode="difference" the base quantity is x_j = g1(T_j) - g2(T_j) instead;
     this is the coefficient stream of the classical (non-logarithmic)
-    comparison formula.  In either mode `all_zero` records whether every x_j
-    is 0, as it is for two equal maps: then x^I = 0 for every I != 0, and
-    every coefficient beyond shell 0 is exactly 0 with nothing to divide.
+    comparison formula.
 
-    base_n is the precision of the reduced output; the maps are moved to the
-    working precision from whatever precision they carry.  Maps assembled by
+    The x_j are held only to the digits the divisions read.  Changing an
+    x_j by a multiple of p^k changes x^I by a multiple of p^(k + |I| - 1),
+    so x^I mod p^m reads x only mod p^(m - |I| + 1), and a shell sum reads
+    at most `_x_precision` digits of x: n at width 0 and n + 1 at the widths
+    a module allows (8 of work_n = 16 at p = 3, n = 8).  `coeff` still accepts
+    every request with n + v <= work_n: one that reads more digits of x
+    (only a direct request outside the shell-sum contract does) makes
+    `_power` build x once more, at work_n.  The powers memoized before stay
+    valid to the precision they record, since they read only held digits.
+    In either mode `all_zero` records whether every x_j vanishes to the
+    digits held, as it does for two equal maps: then every x^I with I != 0
+    that a shell sum reads is 0, and every coefficient beyond shell 0 is
+    exactly 0 with nothing to divide.
+
+    base_n is the precision of the reduced output; the maps are read at the
+    precision x is held at, from whatever precision they carry.  Maps assembled by
     composition must be composed at the working precision already, since a
     base-precision composite underdetermines the digits the divisions
     consume; `work_precision` names the precision to compose at.
@@ -874,10 +939,13 @@ class DividedCoeffs:
     comes from a proof, not a setting: `coeff` refuses I once
     v_p(I!) > work_n - n, and v_p(i!) >= floor(i/p), so every index it
     accepts has |I| < cap = d * p * (work_n - n + 1); x^I then has exponents
-    of absolute value at most M * |I|, M the largest |exponent| in any x_j,
-    and h = M * cap + 1 leaves no carry between digits.  `_power` refuses |I| > cap, so no key it builds can
-    collide with another.  `coeff` decodes every output term back into the
-    tuple keys of RingElem, which never sees a packed key.
+    of absolute value at most M * |I|, M a bound on |exponent| in any x_j,
+    and h = M * cap + 1 leaves no carry between digits.  M is read off the
+    maps (`_x_exponent_bound`) and covers x at every precision up to
+    work_n, so x held at work_n later packs in the same radix and no
+    memoized power is ever repacked.  `_power` refuses |I| > cap, so no key
+    it builds can collide with another.  `coeff` decodes every output term
+    back into the tuple keys of RingElem, which never sees a packed key.
     """
 
     def __init__(self, g1: RingMap, g2: RingMap, width: int,
@@ -894,37 +962,43 @@ class DividedCoeffs:
         self.stop = stop_shell(p, n, width)
         self.design_bound = design_shell_bound(p, n, width)
         self.work_n = work_precision(p, n, width)
-        g1w = g1.with_precision(self.work_n)
-        g2w = g2.with_precision(self.work_n)
+        self._maps = (g1, g2)
         self._valuation_of = _valuation_table(p, self.work_n)
-        xs = []
-        for j in range(g1.source.d):
-            if mode == "ratio":
-                if g1w.images[j][1] != g2w.images[j][1]:
-                    raise LiftMismatchError(
-                        f"images of slot {j + 1} have different monomial parts")
-                num, den = g1w.unit(j + 1), g2w.unit(j + 1)
-                if num == den:
-                    xj = RingElem.zero(g2w.target)
-                else:
-                    xj = (num - den) * g2w.unit_inverse(j + 1)
-            else:
-                xj = g1w.image_elem(j + 1) - g2w.image_elem(j + 1)
-            if not xj.divisible_by_p():
-                raise LiftMismatchError(f"maps do not agree mod p on slot {j + 1}")
-            xs.append(xj)
-        self.all_zero = all(xj.is_zero() for xj in xs)
         d = g1.source.d
         self._cap = d * p * (self.work_n - n + 1)
-        self._half = max(map(_top_exponent, xs), default=0) * self._cap + 1
-        self._x = [self._graded({_pack(e, self._half): c for e, c in xj.terms.items()},
-                                self.work_n) for xj in xs]
+        self._half = _x_exponent_bound(g1, g2, mode, self.work_n) * self._cap + 1
+        self._hold_x(_x_precision(p, n, width))
         # index -> (m, x^I mod p^m in graded form); m never exceeds work_n
         self._powers: dict[tuple[int, ...], tuple[int, dict]] = {
             (0,) * d: (self.work_n, self._graded({0: 1}, self.work_n))}
         self._coeffs: dict[tuple[tuple[int, ...], int], RingElem] = {}
         # packed key -> exponent tuple: each key is decoded once per engine
         self._exps: dict[int, tuple[int, ...]] = {}
+
+    def _hold_x(self, prec: int):
+        """Build every x_j mod p^prec from the maps read at precision prec, and
+        keep them packed and graded; `all_zero` says whether they all vanish."""
+        g1, g2 = (g.with_precision(prec) for g in self._maps)
+        graded = []
+        for j in range(g1.source.d):
+            if self.mode == "ratio":
+                if g1.images[j][1] != g2.images[j][1]:
+                    raise LiftMismatchError(
+                        f"images of slot {j + 1} have different monomial parts")
+                num, den = g1.unit(j + 1), g2.unit(j + 1)
+                if num == den:
+                    xj = RingElem.zero(g2.target)
+                else:
+                    xj = (num - den) * g2.unit_inverse(j + 1)
+            else:
+                xj = g1.image_elem(j + 1) - g2.image_elem(j + 1)
+            if not xj.divisible_by_p():
+                raise LiftMismatchError(f"maps do not agree mod p on slot {j + 1}")
+            graded.append(self._graded({_pack(e, self._half): c for e, c in xj.terms.items()},
+                                       prec))
+        self._x = graded
+        self._x_prec = prec
+        self.all_zero = not any(graded)
 
     def _graded(self, terms: dict[int, int], prec: int) -> dict:
         """Residues mod p^prec (1 <= prec <= work_n) grouped by exact p-adic valuation."""
@@ -957,6 +1031,9 @@ class DividedCoeffs:
                 f"packed exponent keys hold")
         if size >= prec:
             return {}
+        if prec - size >= self._x_prec:
+            # reads x beyond the digits held, which no shell sum does
+            self._hold_x(self.work_n)
         j0 = next(i for i, v in enumerate(index) if v)
         parent = list(index)
         parent[j0] -= 1
@@ -1027,8 +1104,10 @@ def taylor_residual(r: RingElem, lift1: FrobLift, lift2: FrobLift) -> RingElem:
     r = sum_E c_E T^E and x_I the divided coefficient of I the sum regroups
     by monomial: sum_E Psi(T^E) * S_E with S_E = sum_I c_E falling(E, I) x_I.
     Each S_E is accumulated as raw integer sums and reduced once, which makes
-    one product per term of r instead of one per index.  x_I is requested
-    exactly for the indices where delta^I(r) is nonzero mod p^n, in shell
+    one product per term of r instead of one per index.  Each weight
+    falling(E, I) is a product of entries of one table per term and slot,
+    falling(E_j, i) for i < stop, built once.  x_I is requested exactly
+    for the indices where delta^I(r) is nonzero mod p^n, in shell
     order, so the checked divisions (and any error they raise) are those of
     the per-index sum.
 
@@ -1044,11 +1123,19 @@ def taylor_residual(r: RingElem, lift1: FrobLift, lift2: FrobLift) -> RingElem:
     q = spec.q
     terms = list(r.terms.items())
     sums: list[defaultdict[tuple[int, ...], int]] = [defaultdict(int) for _ in terms]
+    # per term, per slot: falling(E_j, i) for every i < stop
+    tables = [[_falling_table(e, coeffs.stop) for e in E] for E, _ in terms]
     for c in range(coeffs.stop):
         for index in multi_indices(spec.d, c):
             weights = []
-            for (E, cE), s in zip(terms, sums):
-                w = cE * falling_product(E, index) % q
+            for (_, cE), s, table in zip(terms, sums, tables):
+                w = cE
+                for row, i in zip(table, index):
+                    if i:
+                        w *= row[i]
+                        if not w:
+                            break
+                w %= q
                 if w:
                     weights.append((s, w))
             if not weights:

@@ -253,6 +253,35 @@ class TestRingMap:
         assert len(products) == sum(1 for exps in r.terms for e in exps if e)
         assert f._image_pow(1, -2) is f._image_pow(1, -2)
 
+    def test_next_image_power_is_one_product_from_the_memoized_one(self, monkeypatch):
+        rng = random.Random(53)
+        spec = RingSpec(5, 3, 2, 1)
+        f = RingMap(spec, spec, [(2, (1, 0), random_elem(rng, spec)),
+                                 (3, (0, -1), random_elem(rng, spec))])
+        f._image_pow(0, 3)
+        products = []
+        real = RingElem.__mul__
+        monkeypatch.setattr(RingElem, "__mul__", lambda x, y: products.append(1) or real(x, y))
+        got = f._image_pow(0, 4)
+        assert len(products) == 1
+        monkeypatch.undo()
+        assert got == f.image_elem(1) ** 4 == _rebuilt(f, 3)._image_pow(0, 4)
+
+    def test_huge_image_power_of_a_monomial_map_returns_at_once(self):
+        # repeated squaring, and the next power from the memoized one: no
+        # recursion down a chain of 10^9 predecessors
+        import time
+        spec = RingSpec(5, 3, 2, 1)
+        f = RingMap(spec, spec, [(2, (1, 0), RingElem.zero(spec)),
+                                 (3, (0, -1), RingElem.zero(spec))])
+        e, q = 10 ** 9, spec.q
+        start = time.perf_counter()
+        got = f.apply(RingElem.monomial(spec, (e, 0)))
+        again = f.apply(RingElem.monomial(spec, (e + 1, e)))
+        assert time.perf_counter() - start < 0.5
+        assert got == RingElem.monomial(spec, (e, 0), pow(2, e, q))
+        assert again == RingElem.monomial(spec, (e + 1, -e), pow(2, e + 1, q) * pow(3, e, q))
+
 
 class TestFrobLift:
     def test_a_lift_is_the_ring_map_of_its_images(self):
@@ -847,14 +876,34 @@ def _engine_x(engine):
             for graded in engine._x]
 
 
+def _reduced(x, q):
+    """The terms of x reduced mod q, zeros dropped."""
+    return {e: c % q for e, c in x.terms.items() if c % q}
+
+
+def _force_full_x(engine):
+    """Ask coeff(e_1, e) for the least e that reads x_1 beyond the digits held,
+    which makes the engine hold x at work_n; a no-op if it already does."""
+    e = engine._x_prec - engine.n + 1
+    if engine.n + e <= engine.work_n:
+        _checked(engine, (1,) + (0,) * (engine.base_spec.d - 1), e)
+    assert engine._x_prec == engine.work_n
+
+
 def _assert_x_and_coeffs_match(g1, g2, width, base_n=None):
-    """Every x_j equals the reference num * den^-1 - 1, the all-zero flag says
-    whether they all vanish, and every coefficient the shell sum uses agrees."""
+    """Every x_j equals the reference num * den^-1 - 1 mod p^(digits held),
+    the all-zero flag says whether they all vanish there, and every
+    coefficient the shell sum uses agrees.  Once a request reads beyond the
+    digits held, x_j and the flag equal the reference at work_n."""
     engine = DividedCoeffs(g1, g2, width=width, base_n=base_n)
     reference = ReferenceCoeffs(g1, g2, width, base_n=base_n)
+    held = engine.p ** engine._x_prec
+    assert _engine_x(engine) == [_reduced(x, held) for x in reference.x]
+    assert engine.all_zero == all(not _reduced(x, held) for x in reference.x)
+    _assert_engines_agree(g1, g2, width, base_n=base_n)
+    _force_full_x(engine)
     assert _engine_x(engine) == [x.terms for x in reference.x]
     assert engine.all_zero == all(x.is_zero() for x in reference.x)
-    _assert_engines_agree(g1, g2, width, base_n=base_n)
     return engine, reference
 
 
@@ -872,13 +921,10 @@ def test_ratio_x_is_the_reference_ratio_minus_one(maps, cell, width):
     assert not engine.all_zero
 
 
-@pytest.mark.parametrize("p,n,d,s", [(5, 2, 2, 1), (3, 2, 2, 0), (7, 2, 2, 1)])
-def test_ratio_x_on_pullback_composites(p, n, d, s):
+def _pullback_composites(p, n, d, s, width, rng):
     """The composites pullback_ff glues along a map with constants c != 1 and
-    Laurent monomial parts: Phi' o f against f o Phi, at the working precision."""
+    Laurent monomial parts: Phi' o f and f o Phi, at the working precision."""
     spec = RingSpec(p, n, d, s)
-    rng = random.Random(f"ratio-pullback:{p},{n},{d},{s}")
-    width = 1
     work_n = work_precision(p, n, width)
     images = [(2, (1, 0) if s else (1, -1), random_elem(rng, spec)),
               (4, (0, -1), random_elem(rng, spec))]
@@ -888,7 +934,17 @@ def test_ratio_x_on_pullback_composites(p, n, d, s):
     g2 = lift.with_precision(work_n).then(f_work)
     assert any(c != 1 for c, _, _ in g1.images)
     assert any(e < 0 for _, exps, _ in g1.images for e in exps)
-    engine, _ = _assert_x_and_coeffs_match(g1, g2, width, base_n=n)
+    return g1, g2
+
+
+_COMPOSITE_CELLS = [(5, 2, 2, 1), (3, 2, 2, 0), (7, 2, 2, 1)]
+
+
+@pytest.mark.parametrize("p,n,d,s", _COMPOSITE_CELLS)
+def test_ratio_x_on_pullback_composites(p, n, d, s):
+    rng = random.Random(f"ratio-pullback:{p},{n},{d},{s}")
+    g1, g2 = _pullback_composites(p, n, d, s, 1, rng)
+    engine, _ = _assert_x_and_coeffs_match(g1, g2, 1, base_n=n)
     assert not engine.all_zero
 
 
@@ -925,11 +981,14 @@ def test_equal_maps_invert_nothing_and_a_shared_g2_is_inverted_once(monkeypatch)
     assert inverted == []
     first = DividedCoeffs(g1a, g2, width=1)
     second = DividedCoeffs(g1b, g2, width=1)
-    g2w = g2.with_precision(first.work_n)
-    assert inverted == [g2w.unit(1), g2w.unit(2)]
+    g2x = g2.with_precision(first._x_prec)
+    assert inverted == [g2x.unit(1), g2x.unit(2)]
     monkeypatch.undo()
     for engine, g1 in [(first, g1a), (second, g1b)]:
         reference = ReferenceCoeffs(g1, g2, 1)
+        held = engine.p ** engine._x_prec
+        assert _engine_x(engine) == [_reduced(x, held) for x in reference.x]
+        _force_full_x(engine)
         assert _engine_x(engine) == [x.terms for x in reference.x]
 
 
@@ -972,6 +1031,161 @@ def test_coeff_of_a_vanishing_power_divides_nothing(monkeypatch):
                 with pytest.raises(WorkingPrecisionError):
                     engine.coeff(index, e)
                 assert (index, e) not in engine._coeffs
+
+
+# -- x_j held only to the digits the shell sums read ----------------------------
+
+from types import SimpleNamespace  # noqa: E402
+
+from logff.fixtures import nil2  # noqa: E402
+from logff.logring import _x_precision  # noqa: E402
+from logff.transport import (  # noqa: E402
+    check_glue_cocycle,
+    check_glue_horizontal,
+    check_glue_linearity,
+    check_pullback_functorial,
+    glue_map,
+)
+
+
+@pytest.fixture
+def held_x(monkeypatch):
+    """Every (engine, precision) at which an engine builds its x_j, in call order."""
+    held = []
+    real = DividedCoeffs._hold_x
+
+    def hold(engine, prec):
+        held.append((engine, prec))
+        return real(engine, prec)
+
+    monkeypatch.setattr(DividedCoeffs, "_hold_x", hold)
+    return held
+
+
+def _held_precisions(held, engine):
+    return [prec for built, prec in held if built is engine]
+
+
+def _glue_sweeps(modules, rng):
+    for module in modules:
+        l1, l2, l3 = (random_lift(rng, module.spec) for _ in range(3))
+        glue_map(module, l1, l2)
+        assert check_glue_horizontal(module, l1, l2)
+        assert check_glue_linearity(module, l1, l2, random_elem(rng, module.spec))
+        assert check_glue_cocycle(module, l1, l2, l3)
+
+
+def _pullback_sweep(rng):
+    for p, n, s in [(5, 2, 1), (3, 2, 0), (7, 2, 1)]:
+        module = nil2(p, n, d=2, s=s)
+        spec = module.spec
+        f, g = (RingMap(spec, spec, [(c1, (1, 0) if s else (1, -1), random_elem(rng, spec)),
+                                     (c2, (0, -1), random_elem(rng, spec))])
+                for c1, c2 in ((2, 4), (4, 2)))
+        assert check_pullback_functorial(module, f, g, random_lift(rng, spec),
+                                         random_lift(rng, spec))
+
+
+def _taylor_sweep(rng):
+    for p, n, d in [(5, 8, 2), (7, 6, 2), (3, 8, 2)]:
+        spec = RingSpec(p, n, d, d)
+        for _ in range(2):
+            l1, l2 = random_lift(rng, spec), random_lift(rng, spec)
+            assert taylor_residual(random_elem(rng, spec), l1, l2).is_zero()
+
+
+@pytest.mark.parametrize("sweep", ["glue-corpus-5,2", "glue-rank3_chain-d3",
+                                   "pullback-composites", "taylor-cells"])
+def test_shell_sums_never_read_beyond_the_held_digits(sweep, held_x):
+    """Every engine the gluing sweeps, the pullback composites and the Taylor
+    residual build holds its x_j once, at _x_precision digits, and never
+    raises them: no shell sum reads a digit of x that is not held."""
+    rng = random.Random(f"held-x:{sweep}")
+    if sweep == "glue-corpus-5,2":
+        _glue_sweeps([module for _, module in corpus(5, 2)], rng)
+    elif sweep == "glue-rank3_chain-d3":   # the glue-d3 benchmark cells
+        _glue_sweeps([rank3_chain(p, n, d=3) for p, n in [(5, 2), (7, 2), (5, 3), (7, 3)]], rng)
+    elif sweep == "pullback-composites":
+        _pullback_sweep(rng)
+    else:
+        _taylor_sweep(rng)
+    engines = list({id(engine): engine for engine, _ in held_x}.values())
+    for engine in engines:
+        assert _held_precisions(held_x, engine) == [
+            _x_precision(engine.p, engine.n, engine.width)], engine.mode
+    # the sweeps hold fewer digits than work_n on engines with a nonzero x
+    assert any(engine._x_prec < engine.work_n and not engine.all_zero for engine in engines)
+
+
+@pytest.mark.parametrize("maps,cell,width", [(_taylor_cell_maps, (3, 8, 2), 0),
+                                             (_rank3_chain_maps, (5, 3, 3), 2)],
+                         ids=["taylor_cell-3,8,2", "rank3_chain-5,3,3"])
+def test_requests_beyond_the_held_digits_raise_them_once(maps, cell, width, held_x):
+    """Shuffled requests below and beyond the digits held: the first one
+    beyond makes the engine hold x at work_n, once, with the same packing;
+    every answer equals the reference, and so do the powers memoized before."""
+    p, n, d = cell
+    rng = random.Random(f"held-x-beyond:{p},{n},{d}")
+    g1, g2 = maps(p, n, d, rng)
+    engine = DividedCoeffs(g1, g2, width=width)
+    reference = ReferenceCoeffs(g1, g2, width)
+    held, half = engine._x_prec, engine._half
+    assert held < engine.work_n
+
+    def beyond(request):
+        index, e = request
+        return held <= _needed(engine, index, e) - sum(index) and \
+            _needed(engine, index, e) <= engine.work_n
+
+    indices = [index for c in range(1, engine.stop) for index in multi_indices(d, c)]
+    requests = _all_exponent_requests(engine, rng.sample(indices, min(8, len(indices))))
+    below = [request for request in requests if not beyond(request)]
+    rest = below[len(below) // 2:] + [request for request in requests if beyond(request)]
+    rng.shuffle(below)
+    rng.shuffle(rest)
+    before = None
+    asked = {}
+    for index, e in below[:len(below) // 2] + rest:
+        if engine._x_prec == held:
+            before = dict(engine._powers)
+        got = _checked(engine, index, e)
+        assert got == _expected(engine, reference, index, e), (index, e)
+        if got is not WorkingPrecisionError:
+            asked[index] = max(asked.get(index, 0), _needed(engine, index, e))
+    assert _held_precisions(held_x, engine) == [held, engine.work_n]
+    assert engine._half == half
+    assert any(sum(index) for index in before)
+    _assert_memo_within_bounds(engine, reference, asked)
+    _assert_memo_within_bounds(SimpleNamespace(**{**vars(engine), "_powers": before}),
+                               reference, {})
+
+
+def _laurent_engines(p, n, d, s):
+    rng = random.Random(f"coeff-laurent:{p},{n},{d},{s}")
+    l1, l2 = random_lift(rng, RingSpec(p, n, d, s)), random_lift(rng, RingSpec(p, n, d, s))
+    return [(DividedCoeffs(l1, l2, 1, mode=mode), ReferenceCoeffs(l1, l2, 1, mode=mode))
+            for mode in ("ratio", "difference")]
+
+
+def _composite_engines(p, n, d, s):
+    g1, g2 = _pullback_composites(p, n, d, s, 1, random.Random(f"half-pullback:{p},{n},{d},{s}"))
+    return [(DividedCoeffs(g1, g2, 1, base_n=n), ReferenceCoeffs(g1, g2, 1, base_n=n))]
+
+
+_HALF_CELLS = ([(_laurent_engines, cell) for cell in [(5, 2, 2, 0), (5, 3, 2, 1), (3, 3, 2, 1),
+                                                      (5, 2, 3, 1), (3, 2, 3, 0)]]
+               + [(_composite_engines, cell) for cell in _COMPOSITE_CELLS])
+
+
+@pytest.mark.parametrize("engines,cell", _HALF_CELLS,
+                         ids=[f"{engines.__name__[1:-8]}-{','.join(map(str, cell))}"
+                              for engines, cell in _HALF_CELLS])
+def test_half_width_covers_x_at_work_n(engines, cell):
+    """The packing radix is fixed before any x is held and must leave room for
+    x at work_n, which a request beyond the held digits builds."""
+    for engine, reference in engines(*cell):
+        top = max((abs(e) for x in reference.x for exps in x.terms for e in exps), default=0)
+        assert engine._half > top * engine._cap, engine.mode
 
 
 # -- the Taylor sum grouped by monomial against the per-index sum --------------
