@@ -1013,6 +1013,8 @@ class DividedCoeffs:
         prec - 1, and x^I vanishes mod p^prec outright once |I| >= prec.
         The memo records the precision each power holds; a request for more
         recomputes the power and the part of its trie chain that falls short.
+        The chain reads x only mod p^(prec - |I| + 1), the same at every
+        step; when that is beyond the digits held, x is held at work_n first.
 
         Most coefficient pairs of the product have valuation v1 + v2 >= prec
         and vanish; `_graded_sums` skips such a bucket pair without touching
