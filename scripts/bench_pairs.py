@@ -17,8 +17,11 @@ seed 401 (the deterministic per-layer call counts of the digest prefix), and
 
 The file holds the commits, the protocol, the Python version and CPU, every
 raw run, per workload and end-to-end metric each side's median and
-quartiles with the change's wins, losses and ties over the pairs, both
-sides' digests and both sides' per-layer call counts.  --check validates
+quartiles, the median and quartiles of the per-pair ratio change/parent
+(a drift that moves both sides of a pair alike does not widen it) and the
+change's wins, losses and ties over the pairs, both sides' digests and both
+sides' per-layer call counts.  Files written before the ratio was recorded
+have no "ratio" entries and still pass --check.  --check validates
 such files and exits 1 if any is malformed or its two sides' digests differ.
 """
 
@@ -108,9 +111,11 @@ def summarize(runs: list[dict], workloads, pairs: int) -> dict:
                     wins += 1
                 else:
                     losses += 1
+            ratios = [new / old for old, new in zip(sides["parent"], sides["change"])]
             summary[workload][metric] = {
                 "better": better, "parent": spread(sides["parent"]),
-                "change": spread(sides["change"]), "wins": wins, "losses": losses, "ties": ties}
+                "change": spread(sides["change"]), "ratio": spread(ratios),
+                "wins": wins, "losses": losses, "ties": ties}
     return summary
 
 
@@ -183,6 +188,8 @@ def check(doc: dict) -> list[str]:
             for side in SIDES:
                 if not {"median", "q1", "q3"} <= entry.get(side, {}).keys():
                     problems.append(f"{metric} on {workload}: no {side} median and quartiles")
+            if "ratio" in entry and not {"median", "q1", "q3"} <= entry["ratio"].keys():
+                problems.append(f"{metric} on {workload}: no median and quartiles of the ratio")
             if entry["wins"] + entry["losses"] + entry["ties"] != pairs:
                 problems.append(f"{metric} on {workload}: wins + losses + ties != {pairs}")
         got = [doc["digests"][side].get(workload) for side in SIDES]

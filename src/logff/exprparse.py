@@ -24,6 +24,11 @@ class ParseError(ValueError):
         self.col = col
 
 
+# only ASCII digits: str.isdigit() also takes superscripts, which int() refuses,
+# and other scripts' digits, which int() reads silently
+_DIGITS = frozenset("0123456789")
+
+
 class _Tokens:
     def __init__(self, text: str):
         self.text = text
@@ -33,9 +38,9 @@ class _Tokens:
             ch = text[i]
             if ch.isspace():
                 i += 1
-            elif ch.isdigit():
+            elif ch in _DIGITS:
                 start = i
-                while i < len(text) and text[i].isdigit():
+                while i < len(text) and text[i] in _DIGITS:
                     i += 1
                 self.toks.append(("int", text[start:i], start))
             elif ch in "+-*^":
@@ -61,6 +66,9 @@ class _Tokens:
 
 def parse_expr(text: str, spec: RingSpec) -> RingElem:
     """Parse an expression into a RingElem over the given spec."""
+    if text.isascii() and text.isdigit():
+        # a bare integer, the commonest entry of a module file ("0", "1")
+        return RingElem.const(spec, int(text))
     toks = _Tokens(text)
     result = RingElem.zero(spec)
     sign = 1

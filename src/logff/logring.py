@@ -99,6 +99,18 @@ class RingSpec:
     def _one(self) -> "RingElem":
         return RingElem(self, {(0,) * self.d: 1})
 
+    @cached_property
+    def _add_exps(self):
+        """The sum of two exponent vectors of length d, spelled out for d <= 3
+        (about half the time of tuple(map(add, ...)) at d = 3)."""
+        if self.d == 1:
+            return lambda a, b: (a[0] + b[0],)
+        if self.d == 2:
+            return lambda a, b: (a[0] + b[0], a[1] + b[1])
+        if self.d == 3:
+            return lambda a, b: (a[0] + b[0], a[1] + b[1], a[2] + b[2])
+        return lambda a, b: tuple(map(add, a, b))
+
     def with_precision(self, n: int) -> "RingSpec":
         """The spec at precision n; the spec itself at its own precision (it is frozen)."""
         if n == self.n:
@@ -276,42 +288,71 @@ class RingElem:
         return RingElem._trusted(self.spec, {e: q - c for e, c in self.terms.items()})
 
     def __sub__(self, other: "RingElem") -> "RingElem":
-        return self + (-other)
+        self._check(other)
+        if not other.terms:
+            return self
+        out = dict(self.terms)
+        q = self.spec.q
+        for exps, c in other.terms.items():
+            r = (out.get(exps, 0) - c) % q
+            if r:
+                out[exps] = r
+            else:
+                out.pop(exps, None)
+        return RingElem._trusted(self.spec, out)
 
     def __mul__(self, other):
-        """The product mod p^n, on one of two paths chosen by the number of term pairs.
+        """The product mod p^n, on one of three paths chosen by the operands' sizes.
 
-        Below _GRADED_MIN_PAIRS pairs every pair is multiplied and reduced
-        in turn; from there on `_graded_product` skips the pairs whose
-        product is = 0 mod p^n.  Both give the same terms.  The threshold
-        is measured; see _GRADED_MIN_PAIRS.
+        From _GRADED_MIN_PAIRS term pairs on, `_graded_product` skips the
+        pairs whose product is = 0 mod p^n.  Below that, a one-term operand
+        c * T^E shifts every exponent of the other operand by E and scales
+        its coefficients by c: distinct terms stay distinct, so nothing is
+        merged, and E = 0 is a pure scale (`scale`, so a product by 1 is the
+        other operand itself).  Otherwise every pair is multiplied and
+        reduced in turn.  All three give the same terms.
+        The threshold is measured; see _GRADED_MIN_PAIRS.
         """
         if isinstance(other, int):
             return self.scale(other)
         self._check(other)
         if len(self.terms) * len(other.terms) >= _GRADED_MIN_PAIRS:
             return _graded_product(self, other)
-        q = self.spec.q
+        spec = self.spec
+        q = spec.q
+        add_exps = spec._add_exps
+        a, b = (other, self) if len(self.terms) == 1 else (self, other)
         out: dict[tuple[int, ...], int] = {}
-        right = other.terms.items()
-        for e1, c1 in self.terms.items():
+        if len(b.terms) == 1:
+            (shift, c1), = b.terms.items()
+            if not any(shift):
+                return a.scale(c1)
+            for e, c2 in a.terms.items():
+                c = c1 * c2 % q
+                if c:
+                    out[add_exps(e, shift)] = c
+            return RingElem._trusted(spec, out)
+        right = b.terms.items()
+        for e1, c1 in a.terms.items():
             for e2, c2 in right:
                 c = c1 * c2 % q
                 if c:
-                    e = tuple(map(add, e1, e2))
+                    e = add_exps(e1, e2)
                     if e in out:
                         c = (out[e] + c) % q
                         if not c:
                             del out[e]
                             continue
                     out[e] = c
-        return RingElem._trusted(self.spec, out)
+        return RingElem._trusted(spec, out)
 
     __rmul__ = __mul__
 
     def scale(self, c: int) -> "RingElem":
         q = self.spec.q
         c %= q
+        if c == 1:
+            return self
         out = {}
         for e, v in self.terms.items():
             r = c * v % q
@@ -354,7 +395,15 @@ class RingElem:
     def log_derive(self, j: int) -> "RingElem":
         """delta_j = T_j d/dT_j on the 1-based slot j: T^E -> E_j T^E."""
         j0 = _slot0(self.spec, j)
-        return RingElem(self.spec, {e: e[j0] * c for e, c in self.terms.items()})
+        if not self.terms:
+            return self
+        q = self.spec.q
+        out = {}
+        for e, c in self.terms.items():
+            r = e[j0] * c % q
+            if r:
+                out[e] = r
+        return RingElem._trusted(self.spec, out)
 
     def d_dT(self, j: int) -> "RingElem":
         """Ordinary derivative d/dT_j; produces T_j^{-1} factors, so the slot must be Laurent."""
@@ -742,17 +791,17 @@ def _x_precision(p: int, base_n: int, width: int) -> int:
 
 # RingElem.__mul__ takes the graded path from this many term pairs on.  Each
 # product RingElem.__mul__ sees over the seed-401 prefixes of the three
-# benchmark workloads was timed on both paths (CPython 3.11, x86-64).  The
-# graded path is 2-7x slower below 64 pairs, where nearly all products of
-# verify-mix and glue-d3 fall; with every product graded the prefixes' product
-# time went 95 -> 161 ms (taylor-highn), 33 -> 162 ms (glue-d3) and
-# 16 -> 88 ms (verify-mix).  With this threshold taylor-highn's went to 70 ms
-# (96 of its 3662 products graded, 62% of their term pairs skipped), glue-d3
-# grades one product (+0.4%) and verify-mix none; 256 to 512 agree within 1%.
-# End to end, in ten alternating 30 s runs per workload against a
-# RingElem.__mul__ with no graded path, grading every product raised p50 by
-# 37% (taylor-highn), 77% (glue-d3) and 44% (verify-mix), while this
-# threshold lowered taylor-highn's p50 by 10% and left the other two flat.
+# benchmark workloads was timed on both paths (CPython 3.11.7, 2 vCPU x86-64
+# Xeon).  The graded path is 4-11x slower below 64 pairs (median 7-8x), where
+# nearly all products of verify-mix and glue-d3 fall; with every product
+# graded the prefixes' product time went 28 -> 57 ms (taylor-highn),
+# 9.6 -> 62 ms (glue-d3) and 4.9 -> 33 ms (verify-mix).  With this threshold
+# taylor-highn's went to 23 ms (88 of its 2786 products graded), glue-d3
+# grades one product and verify-mix none; 256 to 1024 agree within 2%.  End to
+# end, in ten alternating 30 s runs per workload against a RingElem.__mul__
+# with no graded path, grading every product raised p50 by 37% (taylor-highn),
+# 77% (glue-d3) and 44% (verify-mix), while this threshold lowered
+# taylor-highn's p50 by 10% and left the other two flat.
 _GRADED_MIN_PAIRS = 256
 
 

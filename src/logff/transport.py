@@ -112,16 +112,16 @@ def _glue_columns(module: LogFFModule, coeffs: DividedCoeffs, g2: RingMap,
                 w = memo.get(index)
                 if w is None:
                     w = op(connection, vec, index, memo=memo)
-                if all(x.is_zero() for x in w):
+                if not any(x.terms for x in w):
                     continue
                 coeff = coeffs.coeff(index, p_exp)
-                if coeff.is_zero():
+                if not coeff.terms:
                     continue
                 for m, wm in enumerate(w):
-                    if wm.is_zero():
+                    if not wm.terms:
                         continue
                     if levels[m] < lvl:
-                        if not _reduce_entry(wm, module.basis[m].torsion).is_zero():
+                        if _reduce_entry(wm, module.basis[m].torsion).terms:
                             raise ElementNotInFilError(
                                 f"operator output leaves Fil^{lvl} on row {m}")
                         continue

@@ -66,6 +66,21 @@ class TestCheck:
         assert code == 2
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("entry,column", [("²", 1), ("T1^²", 4), ("٣", 1)],
+                             ids=["superscript_two", "superscript_exponent", "arabic_indic_three"])
+    def test_non_ascii_digit_exit_2(self, fixture_dir, capsys, tmp_path, entry, column):
+        # str.isdigit() takes all three; int() refuses the superscript and
+        # reads the Arabic-Indic three as 3
+        doc = json.loads((fixture_dir / "nil2_p5n1.json").read_text())
+        doc["connection"][0][0][1] = entry
+        path = tmp_path / "digit.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 2 and not out
+        assert err.startswith(f"error: unexpected character {entry[column - 1]!r} "
+                              f"at line 1, column {column}")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("edit,where", [
         (lambda d: d["connection"][0][0].__setitem__(1, 1), "connection[0][0][1]"),
         (lambda d: d.__setitem__("lifts", [["0"]]), "lifts"),

@@ -28,6 +28,20 @@ def test_coefficients_reduced_mod_q():
     assert parse_expr("25*T1", SPEC).is_zero()
 
 
+@pytest.mark.parametrize("text", ["0", "1", "007", "24", "25", "26", "123456789012345678901"])
+def test_bare_integer_agrees_with_the_grammar(text):
+    # a bare integer takes a short path; padded it goes through the tokenizer
+    assert parse_expr(text, SPEC).terms == parse_expr(f" {text} ", SPEC).terms
+    assert parse_expr(text, SPEC).terms == RingElem.const(SPEC, int(text)).terms
+
+
+@pytest.mark.parametrize("text,col", [("²", 1), ("T1^²", 4), ("٣", 1), ("1٣", 2), ("T١", 2)])
+def test_only_ascii_digits(text, col):
+    with pytest.raises(ParseError, match="unexpected character") as err:
+        parse_expr(text, SPEC)
+    assert err.value.col == col
+
+
 def test_whitespace_ignored():
     assert parse_expr("  3 * T1 ^ 2\n+ 1 ", SPEC) == \
         RingElem.monomial(SPEC, (2, 0), 3) + RingElem.one(SPEC)

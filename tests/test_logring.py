@@ -423,37 +423,120 @@ def test_degenerate_no_coordinates():
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-_SPEC = RingSpec(5, 2, 2, 1)
-
-
 @st.composite
-def ring_elems(draw):
-    n_terms = draw(st.integers(min_value=0, max_value=4))
-    terms = {}
-    for _ in range(n_terms):
-        e0 = draw(st.integers(min_value=0, max_value=3))
-        e1 = draw(st.integers(min_value=-3, max_value=3))
-        terms[(e0, e1)] = draw(st.integers(min_value=0, max_value=24))
-    return RingElem(_SPEC, terms)
+def ring_operands(draw, count):
+    """A spec with d in 1..4 and s in 0..d, and `count` elements of it.
+
+    Each element is zero, a constant, one term or several terms.  Laurent
+    slots reach negative exponents, and each coefficient is a unit times
+    p^v with v in 0..n, so many coefficient pairs multiply to 0 mod p^n.
+    """
+    p = draw(st.sampled_from([3, 5, 7]))
+    n = draw(st.integers(min_value=1, max_value=3))
+    d = draw(st.integers(min_value=1, max_value=4))
+    s = draw(st.integers(min_value=0, max_value=d))
+    spec = RingSpec(p, n, d, s)
+
+    def coeff():
+        unit = draw(st.integers(min_value=1, max_value=spec.q - 1).filter(lambda c: c % p))
+        return unit * p ** draw(st.integers(min_value=0, max_value=n))
+
+    def exps():
+        return tuple(draw(st.integers(min_value=0 if j < s else -3, max_value=3))
+                     for j in range(d))
+
+    def elem():
+        shape = draw(st.sampled_from(["zero", "const", "term", "terms"]))
+        if shape == "zero":
+            return RingElem.zero(spec)
+        if shape == "const":
+            return RingElem.const(spec, coeff())
+        n_terms = 1 if shape == "term" else draw(st.integers(min_value=2, max_value=6))
+        return RingElem(spec, {exps(): coeff() for _ in range(n_terms)})
+
+    return (spec,) + tuple(elem() for _ in range(count))
 
 
-@given(ring_elems(), ring_elems(), ring_elems())
-@settings(max_examples=150)
-def test_ring_axioms(x, y, z):
+def _naive_mul(x, y):
+    q = x.spec.q
+    out = {}
+    for e1, c1 in x.terms.items():
+        for e2, c2 in y.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c % q for e, c in out.items() if c % q}
+
+
+def _naive_sub(x, y):
+    q = x.spec.q
+    out = {e: (x.terms.get(e, 0) - y.terms.get(e, 0)) % q for e in {**x.terms, **y.terms}}
+    return {e: c for e, c in out.items() if c}
+
+
+@given(ring_operands(3))
+@settings(max_examples=150, deadline=None)
+def test_ring_axioms(case):
+    spec, x, y, z = case
     assert (x + y) + z == x + (y + z)
     assert x + y == y + x
     assert (x * y) * z == x * (y * z)
     assert x * y == y * x
     assert x * (y + z) == x * y + x * z
-    assert x + (-x) == RingElem.zero(_SPEC)
-    assert x * RingElem.one(_SPEC) == x
+    assert x + (-x) == RingElem.zero(spec)
+    assert x - y == x + (-y)
+    assert x * RingElem.one(spec) == x
 
 
-@given(ring_elems())
-@settings(max_examples=100)
-def test_string_round_trip_property(x):
+@given(ring_operands(2), st.integers(-10 ** 6, 10 ** 6))
+@settings(max_examples=300, deadline=None)
+def test_operations_match_naive_dicts(case, k):
+    """*, -, scale and log_derive against plain dict arithmetic, on every
+    product path below the graded threshold (one-term, constant, general)."""
+    spec, x, y = case
+    q = spec.q
+    for a, b in ((x, y), (y, x), (x, x)):
+        assert (a * b).terms == _naive_mul(a, b)
+        assert (a - b).terms == _naive_sub(a, b)
+    for scalar in (k, 1, 0, spec.p ** (spec.n - 1)):
+        assert x.scale(scalar).terms == {e: c * scalar % q for e, c in x.terms.items()
+                                         if c * scalar % q}
+    for j in range(1, spec.d + 1):
+        assert x.log_derive(j).terms == {e: e[j - 1] * c % q for e, c in x.terms.items()
+                                         if e[j - 1] * c % q}
+
+
+@pytest.mark.parametrize("d", range(6))
+def test_exponent_adder_of_every_dimension(d):
+    add_exps = RingSpec(5, 1, d, 0)._add_exps
+    for a, b in itertools.combinations(itertools.product((-2, 0, 3), repeat=d), 2):
+        assert add_exps(a, b) == tuple(x + y for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (5, 2), (7, 3)])
+def test_one_term_products_drop_vanishing_pairs(p, n):
+    # a one-term operand whose coefficient kills some terms of the other one
+    for d, s in [(1, 0), (2, 1), (3, 0), (4, 2)]:
+        spec = RingSpec(p, n, d, s)
+        unit = tuple(0 if j < s else -1 for j in range(d))
+        shift = tuple(range(1, d + 1))
+        other = RingElem(spec, {(0,) * d: p, unit: 1, shift: 2 * p ** (n - 1)})
+        for one_term in (RingElem.monomial(spec, shift, p ** (n - 1)),
+                         RingElem.const(spec, p ** (n - 1)),
+                         RingElem.monomial(spec, shift, 1)):
+            for a, b in ((one_term, other), (other, one_term)):
+                got = (a * b).terms
+                assert got == _naive_mul(a, b)
+                assert all(got.values())
+        if n > 1:
+            assert (RingElem.const(spec, p ** (n - 1)) * other).terms == {unit: p ** (n - 1)}
+
+
+@given(ring_operands(1))
+@settings(max_examples=100, deadline=None)
+def test_string_round_trip_property(case):
     from logff.exprparse import parse_expr
-    assert parse_expr(str(x), _SPEC) == x
+    spec, x = case
+    assert parse_expr(str(x), spec) == x
 
 
 def test_taylor_at_n3_deeper_shells():
@@ -1452,7 +1535,21 @@ def spec_and_elems(draw):
 def test_operation_results_are_canonical(case):
     spec, x, y, c = case
     f = FrobLift(spec, [y] * spec.d)
-    for result in (x + y, x - y, -x, x * y, x.scale(c), x * c, f.apply(x)):
+    zero = RingElem.zero(spec)
+    # one-term operands: y's first term, and the constant c
+    term = RingElem(spec, dict(list(y.terms.items())[:1]))
+    const = RingElem.const(spec, c)
+    results = [x + y, x - y, y - x, x - x, zero - x, -x, x * y, x * term, term * x,
+               x * const, const * x, x.scale(c), x * c, f.apply(x)]
+    results += [x.log_derive(j) for j in range(1, spec.d + 1)]
+    # an operation may hand back an operand: elements are immutable
+    assert x.scale(1) is x and x.scale(1 + spec.q) is x
+    one = RingElem.one(spec)
+    # a product by 1 is the other operand, unless both have one term
+    assert len(x.terms) == 1 or (x * one is x and one * x is x)
+    assert x - zero is x
+    assert all(zero.log_derive(j) is zero for j in range(1, spec.d + 1))
+    for result in results:
         assert result.spec == spec
         assert result.terms == RingElem(spec, result.terms).terms
         for exps, coeff in result.terms.items():
