@@ -792,16 +792,17 @@ def _x_precision(p: int, base_n: int, width: int) -> int:
 # RingElem.__mul__ takes the graded path from this many term pairs on.  Each
 # product RingElem.__mul__ sees over the seed-401 prefixes of the three
 # benchmark workloads was timed on both paths (CPython 3.11.7, 2 vCPU x86-64
-# Xeon).  The graded path is 4-11x slower below 64 pairs (median 7-8x), where
-# nearly all products of verify-mix and glue-d3 fall; with every product
-# graded the prefixes' product time went 28 -> 57 ms (taylor-highn),
-# 9.6 -> 62 ms (glue-d3) and 4.9 -> 33 ms (verify-mix).  With this threshold
-# taylor-highn's went to 23 ms (88 of its 2786 products graded), glue-d3
-# grades one product and verify-mix none; 256 to 1024 agree within 2%.  End to
-# end, in ten alternating 30 s runs per workload against a RingElem.__mul__
-# with no graded path, grading every product raised p50 by 37% (taylor-highn),
-# 77% (glue-d3) and 44% (verify-mix), while this threshold lowered
-# taylor-highn's p50 by 10% and left the other two flat.
+# Xeon).  Below 64 pairs, where nearly all products of verify-mix and glue-d3
+# fall, the graded path is slower by a median 7.0x (taylor-highn), 11.4x
+# (glue-d3) and 7.7x (verify-mix); with every product graded the prefixes'
+# product time went 26 -> 54 ms (taylor-highn), 8.2 -> 57 ms (glue-d3) and
+# 4.3 -> 32 ms (verify-mix).  With this threshold taylor-highn's went to 21 ms
+# (88 of its 2786 products graded), glue-d3 grades one product and verify-mix
+# none; 256 to 1024 agree within 2%.  End to end, in ten alternating 30 s runs
+# per workload against a RingElem.__mul__ with no graded path (timed before
+# the one-term path existed), grading every product raised p50 by 37%
+# (taylor-highn), 77% (glue-d3) and 44% (verify-mix), while this threshold
+# lowered taylor-highn's p50 by 10% and left the other two flat.
 _GRADED_MIN_PAIRS = 256
 
 
