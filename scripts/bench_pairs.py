@@ -12,17 +12,21 @@ take no part, and each side runs its own `perfbench/run.py` on its own
 sources.  For each workload, pair i runs both sides at seed first_seed + i
 for --seconds each, the parent first in even pairs and the change first in
 odd ones.  Each side then runs `--trace 1 --seconds 0` once per workload at
-seed 401 (the deterministic per-layer call counts of the digest prefix), and
-`--seconds 0` at seeds 401, 402 and 403 for the output digests.
+seed 401 (the deterministic per-layer call counts of the digest prefix, and
+the per-layer self times of that one traced run), and `--seconds 0` at seeds
+401, 402 and 403 for the output digests.
 
 The file holds the commits, the protocol, the Python version and CPU, every
 raw run, per workload and end-to-end metric each side's median and
 quartiles, the median and quartiles of the per-pair ratio change/parent
 (a drift that moves both sides of a pair alike does not widen it) and the
-change's wins, losses and ties over the pairs, both sides' digests and both
-sides' per-layer call counts.  Files written before the ratio was recorded
-have no "ratio" entries and still pass --check.  --check validates
-such files and exits 1 if any is malformed or its two sides' digests differ.
+change's wins, losses and ties over the pairs, both sides' digests, and both
+sides' per-layer call counts and traced self times (the self times show, for
+instance, the margin by which the operator is the busiest glue-d3 layer).
+Files written before the ratio or the self times were recorded have no
+"ratio" entries or no "per_layer_self_ms" and still pass --check.  --check
+validates such files and exits 1 if any is malformed or its two sides'
+digests differ.
 """
 
 from __future__ import annotations
@@ -127,7 +131,8 @@ def run_pairs(args) -> dict:
     if unknown:
         raise SystemExit(f"error: unknown workloads {sorted(unknown)}")
     seeds = [args.first_seed + i for i in range(args.pairs)]
-    runs, digests, calls = [], {s: {} for s in SIDES}, {s: {} for s in SIDES}
+    runs, digests = [], {s: {} for s in SIDES}
+    calls, self_ms = {s: {} for s in SIDES}, {s: {} for s in SIDES}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         trees = {side: Path(tmp) / side for side in SIDES}
         for side in SIDES:
@@ -149,6 +154,8 @@ def run_pairs(args) -> dict:
                 traced = bench(trees[side], workload, TRACE_SEED, 0, 1)
                 calls[side][workload] = {k: v["value"] for k, v in traced["metrics"].items()
                                          if k.endswith(".calls")}
+                self_ms[side][workload] = {k: v["value"] for k, v in traced["metrics"].items()
+                                           if k.endswith(".self_ms")}
                 digests[side][workload] = {
                     str(seed): bench(trees[side], workload, seed, 0, 0)["digest"]
                     for seed in DIGEST_SEEDS}
@@ -166,6 +173,7 @@ def run_pairs(args) -> dict:
         "summary": summarize(runs, workloads, args.pairs),
         "digests": digests,
         "per_layer_calls": calls,
+        "per_layer_self_ms": self_ms,
     }
 
 
@@ -203,6 +211,8 @@ def check(doc: dict) -> list[str]:
         for side in SIDES:
             if not doc["per_layer_calls"][side].get(workload):
                 problems.append(f"no per-layer calls of {workload} for the {side}")
+            if "per_layer_self_ms" in doc and not doc["per_layer_self_ms"].get(side, {}).get(workload):
+                problems.append(f"no per-layer self times of {workload} for the {side}")
     return problems
 
 

@@ -384,8 +384,15 @@ class RingElem:
         return not self.terms
 
     def eq_mod(self, other: "RingElem", m: int) -> bool:
-        """Equality after reduction mod p^m (m <= n)."""
+        """Equality after reduction mod p^m.
+
+        From m = n on this is equality of the canonical representatives in
+        [1, p^n), so the term dicts are compared directly; below n every
+        difference is reduced mod p^m.
+        """
         self._check(other)
+        if m >= self.spec.n:
+            return self.terms == other.terms
         pm = self.spec.p ** m
         keys = set(self.terms) | set(other.terms)
         return all((self.terms.get(k, 0) - other.terms.get(k, 0)) % pm == 0 for k in keys)

@@ -29,7 +29,7 @@ from .transport import (
 )
 
 SEED = 0x10F7
-GRID_PN = [(3, 1), (3, 2), (5, 1), (5, 2)]
+GRID_PN = [(3, 1), (3, 2), (5, 1), (5, 2), (7, 3)]
 
 
 def _expect(ok, message):

@@ -39,11 +39,13 @@ def _document(p90s=((4.0, 3.0), (5.0, 4.0))):
                          "digest": f"d{i}", "metrics": metrics})
     digests = {"verify-mix": {"401": "a", "402": "b", "403": "c"}}
     calls = {"verify-mix": {"logring.DividedCoeffs.coeff.calls": 1}}
+    self_ms = {"verify-mix": {"logring.DividedCoeffs.coeff.self_ms": 0.5}}
     return {"pr": 0, "commits": {}, "python": "3", "cpu": {}, "runs": runs,
             "protocol": {"pairs": len(p90s), "workloads": ["verify-mix"]},
             "summary": bench_pairs.summarize(runs, ["verify-mix"], len(p90s)),
             "digests": {"parent": digests, "change": copy.deepcopy(digests)},
-            "per_layer_calls": {"parent": calls, "change": calls}}
+            "per_layer_calls": {"parent": calls, "change": calls},
+            "per_layer_self_ms": {"parent": self_ms, "change": copy.deepcopy(self_ms)}}
 
 
 def test_summary_counts_wins_in_the_better_direction():
@@ -71,6 +73,16 @@ def test_ratio_separates_a_drift_from_the_spread():
     assert bench_pairs.check(doc) == []
     entry["ratio"] = {"median": 1.2}
     assert bench_pairs.check(doc) != []
+
+
+def test_self_times_are_optional_but_checked_when_present():
+    doc = _document()
+    assert bench_pairs.check(doc) == []
+    del doc["per_layer_self_ms"]   # a file written before the self times were kept
+    assert bench_pairs.check(doc) == []
+    doc = _document()
+    del doc["per_layer_self_ms"]["change"]["verify-mix"]
+    assert bench_pairs.check(doc) == ["no per-layer self times of verify-mix for the change"]
 
 
 @pytest.mark.parametrize("breakage", ["field", "count", "digest", "pair_digest"])

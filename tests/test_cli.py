@@ -141,6 +141,15 @@ class TestGlue:
         assert doc["matrix"] == [["1", "0"], ["0", "1"]]
         assert doc["verdicts"]["identity"] is True
 
+    def test_same_lift_reports_the_one_shell_summed(self, fixture_dir, capsys):
+        path = str(fixture_dir / "nil2_p5n1.json")
+        _, same, _ = run(capsys, "glue", path, "Phi", "Phi", "--format", "json")
+        _, other, _ = run(capsys, "glue", path, "Phi", "Psi", "--format", "json")
+        same, other = json.loads(same), json.loads(other)
+        assert same["shells_used"] == 1
+        assert other["shells_used"] >= 2
+        assert same["design_bound"] == other["design_bound"]
+
     def test_cocycle_with_third(self, fixture_dir, capsys):
         code, out, _ = run(capsys, "glue", str(fixture_dir / "nil2_p5n1.json"),
                            "Phi", "Psi", "--third", "Chi", "--cocycle",

@@ -11,6 +11,7 @@ from logff.ffmodule import (
     LogFFModule,
     _divided_connection,
     _ordinary_connection_op,
+    falling_connection_op,
     root_map,
     run_all_checks,
 )
@@ -629,8 +630,10 @@ def test_equal_lifts_sum_shell_zero_only(name, factory, monkeypatch):
             monkeypatch, lambda: glue_map(factory(), l1, l2), _FullSweep)
         assert any(sum(index) > 0 for index in full_indices)   # the sweep reaches later shells
         assert full.matrix == g.matrix
-        assert (g.shells_used, g.design_bound) == (full.shells_used, full.design_bound) \
-            == (stop_shell(spec.p, spec.n, b - a), design_shell_bound(spec.p, spec.n, b - a))
+        # shells_used counts the shells summed: shell 0 only, unless forced on
+        assert g.shells_used == 1
+        assert full.shells_used == stop_shell(spec.p, spec.n, b - a)
+        assert g.design_bound == full.design_bound == design_shell_bound(spec.p, spec.n, b - a)
         mod = factory()
         assert check_glue_identity(mod, l1) and check_glue_horizontal(mod, l1, l2)
         if spec.s == 0:
@@ -713,3 +716,148 @@ def test_package_attribute_is_the_transport_module():
     import logff
     assert logff.transport is importlib.import_module("logff.transport")
     assert logff.transport.transport is transport
+
+
+# -- the live part of the operator trie, summed by monomial -------------------
+
+
+def _trie_parent(index):
+    """I - e_j0 for the last nonzero slot j0 of I; None for the origin."""
+    nonzero = [j for j, i in enumerate(index) if i]
+    if not nonzero:
+        return None
+    j0 = nonzero[-1]
+    return index[:j0] + (index[j0] - 1,) + index[j0 + 1:]
+
+
+def _per_index_columns(module, coeffs, g2, vectors):
+    """The gluing formula as a sweep over every index of every shell summed,
+    with one map application and one product per (index, row)."""
+    a, p = module.hodge_range[0], module.spec.p
+    op = falling_connection_op if coeffs.mode == "ratio" else _ordinary_connection_op
+    g2_base = g2.with_precision(module.spec.n)
+    conn = list(module.connection)
+    stop = 1 if coeffs.all_zero else coeffs.stop
+    columns = []
+    for i, vec in vectors:
+        out = [RingElem.zero(coeffs.base_spec)] * module.rank
+        for c in range(stop):
+            p_exp, lvl = min(i - a, c), max(a, i - c)
+            for index in multi_indices(module.spec.d, c):
+                w = op(conn, vec, index, memo={})
+                coeff = coeffs.coeff(index, p_exp)
+                for m, wm in enumerate(w):
+                    if module.levels[m] < lvl:
+                        torsion = p ** module.basis[m].torsion
+                        assert all(x % torsion == 0 for x in wm.terms.values())
+                        continue
+                    out[m] = out[m] + g2_base.apply(wm).scale(p ** (module.levels[m] - lvl)) * coeff
+        columns.append(out)
+    return columns
+
+
+def _glue_vectors(module, rng):
+    """Each basis vector at its level, and r * e_k for a random r at every level."""
+    vectors = [(module.levels[k], module.basis_vector(k)) for k in range(module.rank)]
+    for k in range(module.rank):
+        r = random_elem(rng, module.spec)
+        vectors.append((module.levels[k], [x * r for x in module.basis_vector(k)]))
+    return vectors
+
+
+_SWEEP_CELLS = [(3, 2), (5, 2), (7, 3)]
+
+
+@pytest.mark.parametrize("p,n", _SWEEP_CELLS)
+def test_glue_columns_equal_the_per_index_sweep(p, n):
+    modules = corpus(p, n)
+    if p >= 5:
+        modules.append((f"rank3_d3_p{p}n{n}", rank3_chain(p, n, d=3)))
+    rng = random.Random(f"per-index-sweep:{p},{n}")
+    compared = 0
+    for name, module in modules:
+        a, b = module.hodge_range
+        spec = module.spec
+        modes = ["ratio"] + ["difference"] * (spec.s == 0)
+        for mode in modes:
+            for g1, g2 in [(random_lift(rng, spec), module.lift),
+                           (random_lift(rng, spec), random_lift(rng, spec))]:
+                vectors = _glue_vectors(module, rng)
+                got = transport_module._glue_columns(
+                    module, DividedCoeffs(g1, g2, b - a, mode=mode, base_n=n), g2, vectors)
+                want = _per_index_columns(
+                    module, DividedCoeffs(g1, g2, b - a, mode=mode, base_n=n), g2, vectors)
+                assert got == want, (name, mode)
+                compared += len(vectors)
+    assert compared > 0
+
+
+@pytest.mark.parametrize("name,factory", [
+    ("rank3_d3", lambda: rank3_chain(7, 3, d=3)),
+    ("nil2_d2s1", lambda: nil2(5, 2, d=2, s=1)),
+    ("pullback_d2", lambda: pullback_ff(rank3_chain(5, 2, d=2), _mixing_map(RingSpec(5, 2, 2, 2)),
+                                        FrobLift.standard(RingSpec(5, 2, 2, 2)))),
+    ("transported_d2", lambda: transport(nil2(5, 2, d=2, s=1),
+                                         random_lift(random.Random(5), RingSpec(5, 2, 2, 1)))),
+])
+def test_operator_is_called_exactly_below_live_parents(name, factory, monkeypatch):
+    """The sum calls the operator once for every index whose trie parent has a
+    nonzero operator vector (and the origin), and never for any other."""
+    module = factory()
+    spec, (a, b) = module.spec, module.hodge_range
+    rng = random.Random(f"live-parents:{name}")
+    g1, g2 = random_lift(rng, spec), random_lift(rng, spec)
+    coeffs = DividedCoeffs(g1, g2, b - a, base_n=spec.n)
+    assert not coeffs.all_zero
+    vectors = _glue_vectors(module, rng)
+    calls = []
+    real = transport_module.falling_connection_op
+    monkeypatch.setattr(transport_module, "falling_connection_op",
+                        lambda conn, vec, index, *, memo:
+                        calls.append((tuple(vec), index)) or real(conn, vec, index, memo=memo))
+    transport_module._glue_columns(module, coeffs, g2, vectors)
+    monkeypatch.undo()
+    conn = list(module.connection)
+    skipped = 0
+    for _, vec in vectors:
+        called = [index for v, index in calls if v == tuple(vec)]
+        assert len(called) == len(set(called))
+        live = set()
+        for c in range(coeffs.stop):
+            for index in multi_indices(spec.d, c):
+                parent = _trie_parent(index)
+                if parent is None or any(x.terms for x in falling_connection_op(conn, vec, parent)):
+                    live.add(index)
+                else:
+                    skipped += 1
+        assert set(called) == live
+    assert skipped > 0   # the module has zero parents, so the skip is exercised
+
+
+def _mixing_map(spec):
+    """T_j -> T_j T_{j+1} (1 + p (T_{j+1} + T_j^2)) on a d = 2 chart: a map
+    that mixes the slots, so the pullback's connection lives on both."""
+    t1, t2 = RingElem.variable(spec, 1), RingElem.variable(spec, 2)
+    return RingMap(spec, spec, [(1, (1, 1), t2 + t1 * t1), (1, (0, 1), t1)])
+
+
+def test_first_difference_reads_each_row_mod_its_torsion():
+    """On mixed_torsion the first row has torsion 1 = n - 1: a change by p
+    there is no difference, a change by 1 is, and the full-torsion row sees a
+    change by p^(n-1)."""
+    module = mixed_torsion(5, 2)
+    spec, torsions = module.spec, module.torsions
+    assert torsions == [1, 2]
+    rng = random.Random("first-difference")
+    G = glue_map(module, random_lift(rng, spec), random_lift(rng, spec)).matrix
+
+    def bumped(i, k, c):
+        rows = [list(row) for row in G.rows]
+        rows[i][k] = rows[i][k] + RingElem.const(spec, c)
+        return Matrix(spec, rows)
+
+    assert G.first_difference(bumped(0, 1, spec.p), torsions) is None
+    assert G.first_difference(bumped(0, 1, 1), torsions) == (0, 1)
+    assert G.first_difference(bumped(1, 0, spec.p), torsions) == (1, 0)
+    assert G.eq_mod_rows(bumped(0, 0, 3 * spec.p), torsions)
+    assert not G.eq_mod_rows(bumped(1, 1, 3 * spec.p), torsions)
