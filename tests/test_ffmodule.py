@@ -332,8 +332,8 @@ def memo_corpus():
     return dict(_memo_corpus())
 
 
-def test_memo_names_are_the_memo_corpus():
-    assert MEMO_NAMES == [name for name, _ in _memo_corpus()]
+def test_memo_names_are_the_memo_corpus(memo_corpus):
+    assert MEMO_NAMES == list(memo_corpus)
 
 
 class TestOperatorMemo:

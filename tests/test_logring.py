@@ -517,9 +517,13 @@ def test_eq_mod_agrees_with_the_residues(case, c):
     near = x + RingElem.monomial(spec, e, c * p ** (n - 1))
     for a, b in ((x, y), (y, x), (x, x), (x, near), (near, x)):
         for m in range(1, n + 2):
-            def residues(z):
-                return {k: v % p ** m for k, v in z.terms.items() if v % p ** m}
-            assert a.eq_mod(b, m) == (residues(a) == residues(b)), (a, b, m)
+            assert a.eq_mod(b, m) == (_residues(a, m) == _residues(b, m)), (a, b, m)
+
+
+def _residues(z, m):
+    """The nonzero residues mod p^m of z's canonical coefficients."""
+    pm = z.spec.p ** m
+    return {k: v % pm for k, v in z.terms.items() if v % pm}
 
 
 @pytest.mark.parametrize("d", range(6))
@@ -694,8 +698,8 @@ def glue_corpus():
     return dict(corpus(5, 2))
 
 
-def test_glue_corpus_names_are_the_corpus():
-    assert GLUE_CORPUS_NAMES == [name for name, _ in corpus(5, 2)]
+def test_glue_corpus_names_are_the_corpus(glue_corpus):
+    assert GLUE_CORPUS_NAMES == list(glue_corpus)
 
 
 @pytest.mark.parametrize("name", GLUE_CORPUS_NAMES)

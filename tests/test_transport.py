@@ -792,6 +792,13 @@ def test_glue_columns_equal_the_per_index_sweep(p, n):
     assert compared > 0
 
 
+def _mixing_map(spec):
+    """T_j -> T_j T_{j+1} (1 + p (T_{j+1} + T_j^2)) on a d = 2 chart: a map
+    that mixes the slots, so the pullback's connection lives on both."""
+    t1, t2 = RingElem.variable(spec, 1), RingElem.variable(spec, 2)
+    return RingMap(spec, spec, [(1, (1, 1), t2 + t1 * t1), (1, (0, 1), t1)])
+
+
 @pytest.mark.parametrize("name,factory", [
     ("rank3_d3", lambda: rank3_chain(7, 3, d=3)),
     ("nil2_d2s1", lambda: nil2(5, 2, d=2, s=1)),
@@ -832,13 +839,6 @@ def test_operator_is_called_exactly_below_live_parents(name, factory, monkeypatc
                     skipped += 1
         assert set(called) == live
     assert skipped > 0   # the module has zero parents, so the skip is exercised
-
-
-def _mixing_map(spec):
-    """T_j -> T_j T_{j+1} (1 + p (T_{j+1} + T_j^2)) on a d = 2 chart: a map
-    that mixes the slots, so the pullback's connection lives on both."""
-    t1, t2 = RingElem.variable(spec, 1), RingElem.variable(spec, 2)
-    return RingMap(spec, spec, [(1, (1, 1), t2 + t1 * t1), (1, (0, 1), t1)])
 
 
 def test_first_difference_reads_each_row_mod_its_torsion():
