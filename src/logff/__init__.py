@@ -72,7 +72,6 @@ from .modfile import (
     module_to_dict,
     parse_map_file,
     parse_module_file,
-    serialize_module,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -16,12 +16,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .exactnum import NonIntegralError
-from .logring import FrobLift, RingElem, RingMap, RingSpec, SpecMismatchError
+from .logring import (
+    ElementNotInFilError,
+    FrobLift,
+    RingElem,
+    RingMap,
+    RingSpec,
+    SpecMismatchError,
+)
 from .matrices import Matrix
-
-
-class ElementNotInFilError(ValueError):
-    """An element was used at a filtration level it does not lie in."""
 
 
 class InvariantViolationError(ValueError):

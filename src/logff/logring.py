@@ -21,10 +21,11 @@ vector is packed into one integer in a balanced radix whose half-width is
 proven larger than any exponent an accepted index can produce, so a product
 of monomials is one integer addition; `RingElem` stays keyed by tuples.
 
-`taylor_residual` groups the Taylor sum by the monomials of r: since Psi is
-additive and delta^I acts diagonally on monomials,
-sum_I Psi(delta^I r) * x_I = sum_E Psi(T^E) * sum_I c_E falling(E, I) x_I,
-one product per term of r instead of one per index I.
+The gluing formula and the logarithmic Taylor formula are one shell sum,
+`_shell_sum`: `taylor_residual` is the gluing of the unit module
+O = (R, zero connection, level 0, phi = 1) at r, where delta^I acts
+diagonally on monomials, and `transport._glue_columns` feeds the same
+engine a module's connection operator.
 
 Packed keys also serve `RingElem.__mul__` once a product has at least
 _GRADED_MIN_PAIRS term pairs, as the large closing products of that sum do
@@ -56,6 +57,10 @@ class IllegalMapError(ValueError):
 
 class LiftMismatchError(ValueError):
     """Two maps that must agree mod p do not."""
+
+
+class ElementNotInFilError(ValueError):
+    """An element was used at a filtration level it does not lie in."""
 
 
 class WorkingPrecisionError(AssertionError):
@@ -1152,6 +1157,114 @@ class DividedCoeffs:
         return result
 
 
+@cache
+def _shells(d: int, stop: int):
+    """The multi-indices of length d, grouped by shell |I| = 0 .. stop - 1, each
+    paired with its trie parent I - e_j0, j0 the last nonzero slot of I (the
+    parent ffmodule._trie_walk derives I from); the origin's parent is None."""
+    shells = []
+    for c in range(stop):
+        shell = []
+        for index in multi_indices(d, c):
+            j0 = next((j for j in range(d - 1, -1, -1) if index[j]), None)
+            parent = None if j0 is None else index[:j0] + (index[j0] - 1,) + index[j0 + 1:]
+            shell.append((index, parent))
+        shells.append(tuple(shell))
+    return tuple(shells)
+
+
+def _shells_summed(coeffs: DividedCoeffs) -> int:
+    """How many shells _shell_sum sums with this engine (see its docstring)."""
+    return 1 if coeffs.all_zero else coeffs.stop
+
+
+def _shell_sum(coeffs: DividedCoeffs, g2: RingMap, rows: list[tuple[int, int]], a: int,
+               level: int, operator, memo: dict) -> list[RingElem]:
+    """The gluing formula's shell sum on one vector of Fil^level: the one
+    engine behind `transport._glue_columns` (a module's connection operator)
+    and `taylor_residual` (the falling operator of the unit module).
+
+    Row m is sum_I g2(w_m(I)) * p^(level_m - lvl) * x_I over the shells
+    |I| = c, with lvl = max(a, level - c), x_I = coeffs.coeff(I, min(level -
+    a, c)) and w(I) the operator vector: memo[I] if held, else operator(I).
+    rows holds (level_m, torsion_m); a row with level_m < lvl must have
+    w_m(I) = 0 mod p^torsion_m (else ElementNotInFilError) and adds nothing.
+    The result is over coeffs.base_spec; g2 may carry more precision.
+
+    Only the live part of the operator trie is visited: the operator at I is
+    a factor applied to its value at the trie parent I - e_j0, so below a
+    zero parent it is zero too, and the sum skips I with no operator call,
+    coefficient or Fil check.  Every other index is visited in shell order,
+    so the coefficient requests, and the checked divisions and any error
+    they raise, are those of a sweep over every index.
+
+    g2 is additive, so with w_m(I) = sum_E c_E T^E each row regroups as
+    sum_E g2(T^E) * S_(m,E), S_(m,E) = sum_I p^(level_m - lvl) * c_E * x_I,
+    kept as raw integer sums per monomial of x_I and reduced mod p^n once:
+    one map application and one product per (m, E), not one per term.
+
+    When every x_j is 0 (two equal maps), only shell 0 is summed: every
+    later x^I / (I! * p^e) is exactly 0 with no division to check, so no
+    later shell adds a term or reaches a Fil check.
+    """
+    p = coeffs.p
+    g2_base = g2.with_precision(coeffs.n)
+    spec, target = g2_base.source, coeffs.base_spec
+    q = target.q
+    dead = set()   # the indices whose operator vector is zero
+    # row m -> monomial E of w_m -> monomial of x_I -> raw integer sum
+    sums: list[dict] = [{} for _ in rows]
+    for c, shell in enumerate(_shells(spec.d, _shells_summed(coeffs))):
+        p_exp = min(level - a, c)
+        lvl = max(a, level - c)
+        for index, parent in shell:
+            if parent in dead:
+                dead.add(index)
+                continue
+            w = memo.get(index)
+            if w is None:
+                w = operator(index)
+            if not any(x.terms for x in w):
+                dead.add(index)
+                continue
+            coeff = coeffs.coeff(index, p_exp).terms.items()
+            if not coeff:
+                continue
+            for m, wm in enumerate(w):
+                if not wm.terms:
+                    continue
+                level_m, torsion_m = rows[m]
+                if level_m < lvl:
+                    pm = p ** torsion_m
+                    if any(x % pm for x in wm.terms.values()):
+                        raise ElementNotInFilError(
+                            f"operator output leaves Fil^{lvl} on row {m}")
+                    continue
+                factor = p ** (level_m - lvl)
+                row = sums[m]
+                for E, cE in wm.terms.items():
+                    s = row.get(E)
+                    if s is None:
+                        s = row[E] = defaultdict(int)
+                    weight = factor * cE
+                    for F, x in coeff:
+                        s[F] += weight * x
+    out = []
+    for row in sums:
+        acc = RingElem.zero(target)
+        for E, s in row.items():
+            reduced = {}
+            for F, x in s.items():
+                x %= q
+                if x:
+                    reduced[F] = x
+            if reduced:
+                image = g2_base.apply(RingElem._trusted(spec, {E: 1}))
+                acc = acc + image * RingElem._trusted(target, reduced)
+        out.append(acc)
+    return out
+
+
 def taylor_residual(r: RingElem, lift1: FrobLift, lift2: FrobLift) -> RingElem:
     """Phi(r) - sum_I Psi(delta^{I}(r)) * (Phi(T)/Psi(T)-1)^I / I!, truncated.
 
@@ -1159,56 +1272,33 @@ def taylor_residual(r: RingElem, lift1: FrobLift, lift2: FrobLift) -> RingElem:
     shells provably vanish mod p^n, so the residual is exactly the defect of
     the logarithmic Taylor formula.  The contract is that it is 0 for every r.
 
-    Psi is additive and delta^I acts diagonally on monomials, so with
-    r = sum_E c_E T^E and x_I the divided coefficient of I the sum regroups
-    by monomial: sum_E Psi(T^E) * S_E with S_E = sum_I c_E falling(E, I) x_I.
-    Each S_E is accumulated as raw integer sums and reduced once, which makes
-    one product per term of r instead of one per index.  Each weight
-    falling(E, I) is a product of entries of one table per term and slot,
-    falling(E_j, i) for i < stop, built once.  x_I is requested exactly
-    for the indices where delta^I(r) is nonzero mod p^n, in shell
-    order, so the checked divisions (and any error they raise) are those of
-    the per-index sum.
-
-    A closing product Psi(T^E) * S_E of at least _GRADED_MIN_PAIRS term
-    pairs takes RingElem.__mul__'s graded path, which skips only the term
-    pairs whose product is = 0 mod p^n; no division changed.
+    The sum is `_shell_sum` on the unit module O = (R, zero connection,
+    level 0, phi = 1) at the vector r, whose operator delta^I is scalar:
+    I -> sum_E c_E falling(E, I) T^E for r = sum_E c_E T^E, with falling(E_j,
+    i) read off one table per term and slot, built once.
     """
     spec = r.spec
     if lift1.spec != spec or lift2.spec != spec:
         raise SpecMismatchError("lifts must live over the element's spec")
     coeffs = DividedCoeffs(lift1, lift2, width=0)
-    acc = lift1.apply(r)
     q = spec.q
     terms = list(r.terms.items())
-    sums: list[defaultdict[tuple[int, ...], int]] = [defaultdict(int) for _ in terms]
     # per term, per slot: falling(E_j, i) for every i < stop
     tables = [[_falling_table(e, coeffs.stop) for e in E] for E, _ in terms]
-    for c in range(coeffs.stop):
-        for index in multi_indices(spec.d, c):
-            weights = []
-            for (_, cE), s, table in zip(terms, sums, tables):
-                w = cE
-                for row, i in zip(table, index):
-                    if i:
-                        w *= row[i]
-                        if not w:
-                            break
-                w %= q
-                if w:
-                    weights.append((s, w))
-            if not weights:
-                continue   # delta^I(r) = 0 mod p^n
-            for e, x in coeffs.coeff(index, 0).terms.items():
-                for s, w in weights:
-                    s[e] += w * x
-    for (E, _), s in zip(terms, sums):
-        reduced = {}
-        for e, x in s.items():
-            x %= q
-            if x:
-                reduced[e] = x
-        if reduced:
-            monomial = lift2.apply(RingElem._trusted(spec, {E: 1}))
-            acc = acc - monomial * RingElem._trusted(spec, reduced)
-    return acc
+
+    def operator(index):
+        out = {}
+        for (E, cE), table in zip(terms, tables):
+            w = cE
+            for row, i in zip(table, index):
+                if i:
+                    w *= row[i]
+                    if not w:
+                        break
+            w %= q
+            if w:
+                out[E] = w
+        return [RingElem._trusted(spec, out)]
+
+    column = _shell_sum(coeffs, lift2, [(0, spec.n)], 0, 0, operator, {})
+    return lift1.apply(r) - column[0]

@@ -186,11 +186,6 @@ def parse_module_file(text: str, wide_range: bool = False
     return module_from_dict(doc, wide_range=wide_range)
 
 
-def serialize_module(module: LogFFModule, lifts: dict[str, FrobLift],
-                     frobenius_lift: str) -> str:
-    return json.dumps(module_to_dict(module, lifts, frobenius_lift), indent=2) + "\n"
-
-
 def map_from_dict(doc: dict) -> tuple[RingMap, FrobLift]:
     source = _spec_from_dict(doc.get("source_ring", {}), "source_ring")
     target = _spec_from_dict(doc.get("target_ring", {}), "target_ring")

@@ -17,15 +17,12 @@ exact-division layer, so the integrality claims are verified at runtime.
 from __future__ import annotations
 
 import functools
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .ffmodule import (
-    ElementNotInFilError,
     LogFFModule,
     _horizontal_failures,
     _ordinary_connection_op,
-    _reduce_entry,
     _require_valid_for_glue,
     divided_connection,
     falling_connection_op,
@@ -36,7 +33,8 @@ from .logring import (
     RingElem,
     RingMap,
     SpecMismatchError,
-    multi_indices,
+    _shell_sum,
+    _shells_summed,
     work_precision,
 )
 from .matrices import Matrix
@@ -59,77 +57,25 @@ class GlueMap:
     coeffs: DividedCoeffs = field(compare=False, repr=False)
 
 
-@functools.cache
-def _shells(d: int, stop: int):
-    """The multi-indices of length d, grouped by shell |I| = 0 .. stop - 1, each
-    paired with its trie parent I - e_j0, j0 the last nonzero slot of I (the
-    parent ffmodule._trie_walk derives I from); the origin's parent is None."""
-    shells = []
-    for c in range(stop):
-        shell = []
-        for index in multi_indices(d, c):
-            j0 = next((j for j in range(d - 1, -1, -1) if index[j]), None)
-            parent = None if j0 is None else index[:j0] + (index[j0] - 1,) + index[j0 + 1:]
-            shell.append((index, parent))
-        shells.append(tuple(shell))
-    return tuple(shells)
-
-
-def _shells_summed(coeffs: DividedCoeffs) -> int:
-    """How many shells _glue_columns sums with this engine (see its docstring)."""
-    return 1 if coeffs.all_zero else coeffs.stop
-
-
 def _glue_columns(module: LogFFModule, coeffs: DividedCoeffs, g2: RingMap,
                   vectors: list[tuple[int, list[RingElem]]]):
-    """Shared engine: apply the gluing formula to (level, vector) pairs.
+    """The gluing formula on (level, vector) pairs, each in Fil^level: one
+    logring._shell_sum per vector, carried along g2, with the coefficient
+    engine coeffs of (g1, g2) at the module's precision.
 
-    coeffs is the coefficient engine of the pair (g1, g2), at the module's
-    precision; g2 is the map the operator vectors are carried along.  Each
-    vector must lie in Fil^level; the result is the list of tilde coordinate
-    vectors over the target ring at the module's precision.  The maps may
-    carry extra precision (composites must; see work_precision).
-
-    The engine's mode selects the connection operator: "ratio" the
-    logarithmic one, falling_connection_op, and "difference" the classical
-    one, _ordinary_connection_op.  The module's GlueCache supplies the
-    operator vectors of its basis vectors; any other vector gets an operator
-    memo that lives for this call only.
-
-    The sum visits only the live part of the operator trie.  The operator at
-    I is a factor applied to its value at the trie parent I - e_j0, so once
-    the parent's value is the zero vector, so is the value at I: such an
-    index requests no operator call, no coefficient and no Fil check, and
-    the sum skips it.  Every index with a nonzero parent is visited in shell
-    order, so the coefficient requests, and the checked divisions and any
-    error they raise, are those of a sweep over every index.
-
-    Row m of a column is sum_I g2(w_m(I)) * p^(level_m - lvl) * x_I, with
-    w(I) the operator vector and x_I the divided coefficient.  g2 is
-    additive, so with w_m(I) = sum_E c_E T^E the sum regroups by monomial as
-    sum_E g2(T^E) * S_(m,E), S_(m,E) = sum_I p^(level_m - lvl) * c_E * x_I.
-    Each S_(m,E) is kept as raw integer sums per monomial of x_I and reduced
-    mod p^n once, which makes one map application and one product per
-    (m, E) instead of one per term; taylor_residual regroups the same way.
-
-    When every x_j of the engine is 0 (two equal maps), only shell 0 is
-    summed: every later coefficient is x^I / (I! * p^e) with x^I = 0, which
-    is exactly 0 and has no division to check, so no later shell adds a
-    term or reaches a Fil check.
+    The engine's mode picks the operator: falling_connection_op ("ratio")
+    or _ordinary_connection_op ("difference").  A basis vector's operator
+    memo lives in the module's GlueCache; any other vector's lives for this
+    call only.
     """
     a, mode = module.hodge_range[0], coeffs.mode
     # read at call time, so that a wrapper installed on the module-level name
     # sees every operator call
     op = falling_connection_op if mode == "ratio" else _ordinary_connection_op
     cache = module._glue_cache
-    spec, p = module.spec, module.spec.p
-    g2_base = g2.with_precision(spec.n)
-    target = coeffs.base_spec
-    q = target.q
-    levels = module.levels
+    rows = [(v.level, v.torsion) for v in module.basis]
     connection = list(module.connection)
     basis = [module.basis_vector(k) for k in range(module.rank)]
-    shells = _shells(spec.d, _shells_summed(coeffs))
     columns = []
     for i, vec in vectors:
         # linearity passes r * e_k, which is e_k for r = 1 (the first sample of
@@ -138,56 +84,8 @@ def _glue_columns(module: LogFFModule, coeffs: DividedCoeffs, g2: RingMap,
             memo = cache.operator_memos.setdefault((mode, basis.index(vec)), {})
         else:
             memo = {}
-        dead = set()   # the indices whose operator vector is zero
-        # row m -> monomial E of w_m -> monomial of x_I -> raw integer sum
-        sums: list[dict] = [{} for _ in range(module.rank)]
-        for c, shell in enumerate(shells):
-            p_exp = min(i - a, c)
-            lvl = max(a, i - c)
-            for index, parent in shell:
-                if parent in dead:
-                    dead.add(index)
-                    continue
-                w = memo.get(index)
-                if w is None:
-                    w = op(connection, vec, index, memo=memo)
-                if not any(x.terms for x in w):
-                    dead.add(index)
-                    continue
-                coeff = coeffs.coeff(index, p_exp).terms.items()
-                if not coeff:
-                    continue
-                for m, wm in enumerate(w):
-                    if not wm.terms:
-                        continue
-                    if levels[m] < lvl:
-                        if _reduce_entry(wm, module.basis[m].torsion).terms:
-                            raise ElementNotInFilError(
-                                f"operator output leaves Fil^{lvl} on row {m}")
-                        continue
-                    factor = p ** (levels[m] - lvl)
-                    row = sums[m]
-                    for E, cE in wm.terms.items():
-                        s = row.get(E)
-                        if s is None:
-                            s = row[E] = defaultdict(int)
-                        weight = factor * cE
-                        for F, x in coeff:
-                            s[F] += weight * x
-        out = []
-        for row in sums:
-            acc = RingElem.zero(target)
-            for E, s in row.items():
-                reduced = {}
-                for F, x in s.items():
-                    x %= q
-                    if x:
-                        reduced[F] = x
-                if reduced:
-                    image = g2_base.apply(RingElem._trusted(spec, {E: 1}))
-                    acc = acc + image * RingElem._trusted(target, reduced)
-            out.append(acc)
-        columns.append(out)
+        columns.append(_shell_sum(coeffs, g2, rows, a, i,
+                                  functools.partial(op, connection, vec, memo=memo), memo))
     return columns
 
 

@@ -1640,3 +1640,19 @@ class TestPrimality:
             RingSpec(_MR_LIMIT + 2, 1, 1, 1)
         with pytest.raises(ValueError, match=str(_MR_LIMIT)):
             RingSpec(10 ** 30 + 57, 1, 1, 1)
+
+
+@pytest.mark.parametrize("p,n,d,s", [(5, 8, 2, 2), (7, 6, 2, 2), (3, 8, 2, 2), (3, 4, 2, 0),
+                                     (5, 3, 1, 1)])
+def test_taylor_residual_of_equal_lifts_requests_only_shell_0(p, n, d, s, monkeypatch):
+    """With Phi = Psi every x_j is 0, so the shell-sum engine's equal-lift cut
+    sums shell 0 alone: the residual is Phi(r) - Phi(r) = 0."""
+    spec = RingSpec(p, n, d, s)
+    rng = random.Random(f"taylor-equal:{p},{n},{d},{s}")
+    for _ in range(3):
+        r = random_elem(rng, spec)
+        lift = random_lift(rng, spec)
+        requested = []
+        monkeypatch.setattr(DividedCoeffs, "coeff", _coeff_stream(requested))
+        assert taylor_residual(r, lift, lift).is_zero()
+        assert requested == ([((0,) * d, 0)] if not r.is_zero() else [])

@@ -33,6 +33,7 @@ from logff.logring import (
     design_shell_bound,
     multi_indices,
     stop_shell,
+    taylor_residual,
     work_precision,
 )
 from logff.matrices import Matrix
@@ -861,3 +862,32 @@ def test_first_difference_reads_each_row_mod_its_torsion():
     assert G.first_difference(bumped(1, 0, spec.p), torsions) == (1, 0)
     assert G.eq_mod_rows(bumped(0, 0, 3 * spec.p), torsions)
     assert not G.eq_mod_rows(bumped(1, 1, 3 * spec.p), torsions)
+
+
+_UNIT_CELLS = [(p, n, d, s) for p in (3, 5, 7) for n in range(1, 5)
+               for d in (1, 2) for s in range(d + 1)]
+
+
+@pytest.mark.parametrize("p,n,d,s", _UNIT_CELLS)
+def test_taylor_residual_is_the_unit_module_gluing(p, n, d, s, monkeypatch):
+    """taylor_residual(r, Phi, Psi) = Phi(r) - the gluing column of the unit module
+    O = (R, zero connection, level 0, phi = 1) at r.  The falling tables of the one
+    and falling_connection_op on O in the other feed the same shell-sum engine, and
+    both request the same coefficients in the same order."""
+    unit = rank1_flat(p, n, d, s)
+    spec = unit.spec
+    rng = random.Random(f"unit-module:{p},{n},{d},{s}")
+    requests = []
+    real = DividedCoeffs.coeff
+    monkeypatch.setattr(DividedCoeffs, "coeff",
+                        lambda self, index, e: requests.append((index, e)) or real(self, index, e))
+    for _ in range(5):
+        r = random_elem(rng, spec)
+        phi, psi = random_lift(rng, spec), random_lift(rng, spec)
+        residual = taylor_residual(r, phi, psi)
+        taylor_requests = requests[:]
+        requests.clear()
+        column = transport_module._glue_columns(unit, DividedCoeffs(phi, psi, 0), psi, [(0, [r])])
+        assert residual == phi.apply(r) - column[0][0]
+        assert requests == taylor_requests
+        requests.clear()
