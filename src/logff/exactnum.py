@@ -77,17 +77,21 @@ def reduce_mod(q: Fraction | int, p: int, n: int) -> int:
 
     The denominator is inverted mod p^n.  Raises NonIntegralError when
     valp(q, p) < 0; that always signals either a bug or an invalid input,
-    never a condition to be papered over.
+    never a condition to be papered over.  q is wrapped in a Fraction only
+    when it is not one already, and the valuation is read off its numerator
+    and denominator: a Fraction is in lowest terms, so valp(q, p) < 0
+    exactly when p divides the denominator.
 
     >>> reduce_mod(Fraction(-1, 6), 5, 1)
     4
     >>> reduce_mod(Fraction(10, 3), 5, 2)
     20
     """
-    q = Fraction(q)
-    if q == 0:
+    if not isinstance(q, Fraction):
+        q = Fraction(q)
+    if not q.numerator:
         return 0
-    if valp(q, p) < 0:
+    if not q.denominator % p:
         raise NonIntegralError(f"{q} has negative {p}-adic valuation")
     modulus = p ** n
     return q.numerator * modinv(q.denominator, modulus) % modulus

@@ -63,11 +63,19 @@ class CheckResult:
 
 
 def _reduce_entry(x: RingElem, torsion: int) -> RingElem:
+    """x reduced mod p^torsion; x itself from torsion n on, since its
+    coefficients are already canonical in [1, p^n)."""
+    if torsion >= x.spec.n:
+        return x
     pm = x.spec.p ** torsion
     return RingElem(x.spec, {e: c % pm for e, c in x.terms.items()})
 
 
 def _canonical_rows(mat: Matrix, torsions: list[int]) -> Matrix:
+    """mat with row i reduced mod p^torsions[i]; mat itself when every
+    torsion is at least n, since every entry is then canonical already."""
+    if min(torsions, default=mat.spec.n) >= mat.spec.n:
+        return mat
     rows = [[_reduce_entry(x, torsions[i]) for x in row] for i, row in enumerate(mat.rows)]
     return Matrix(mat.spec, rows)
 
@@ -336,25 +344,43 @@ def divided_connection(module: LogFFModule, lift: FrobLift | None = None) -> lis
 
 
 def _divided_connection(module: LogFFModule, lift: FrobLift) -> list[Matrix]:
-    """divided_connection without the module's memo."""
+    """divided_connection without the module's memo.
+
+    Entry (i, k) of matrix l is p^(level_i - level_k + 1) times the bracket
+    Phi(A_l[i,k]) + sum_j Phi(A_j[i,k]) * D[l][j], with the frame correction
+    D[l][j] = delta_l(u_j) * w_j^{-1} of the lift, w_j = 1 + p*u_j.  Each
+    connection entry is mapped through the lift once, for every l, and a
+    correction, with the inverse w_j^{-1} it reads, is built only for a slot
+    j whose connection matrix is nonzero and where delta_l(u_j) != 0: every
+    other product in the sum is zero.  A negative exponent needs the
+    bracket to vanish mod the row's torsion (NonIntegralError otherwise).
+    """
     spec = module.spec
     p, d, r = spec.p, spec.d, module.rank
     levels = module.levels
-    # w_j is the unit part of lift(T_j); the map keeps its inverse
-    winv = [lift.unit_inverse(j) for j in range(1, d + 1)]
-    # D[l][j] = delta_l(u_j) * w_j^{-1}, the frame correction of the lift
-    correction = [[lift.u[j].log_derive(l + 1) * winv[j] for j in range(d)] for l in range(d)]
+    zero = RingElem.zero(spec)
+    # Phi(A_j[i,k]), each entry mapped once
+    mapped = [[[zero if x.is_zero() else lift.apply(x) for x in row] for row in mat.rows]
+              for mat in module.connection]
+    live = [j for j, mat in enumerate(module.connection)
+            if any(not x.is_zero() for row in mat.rows for x in row)]
     out = []
     for l in range(d):
+        # (j, D[l][j]) for the slots whose products can be nonzero
+        correction = []
+        for j in live:
+            du = lift.u[j].log_derive(l + 1)
+            if not du.is_zero():
+                correction.append((j, du * lift.unit_inverse(j + 1)))
         rows = []
         for i in range(r):
             row = []
             for k in range(r):
-                bracket = lift.apply(module.connection[l].entry(i, k))
-                for j in range(d):
-                    base = module.connection[j].entry(i, k)
-                    if not base.is_zero():
-                        bracket = bracket + lift.apply(base) * correction[l][j]
+                bracket = mapped[l][i][k]
+                for j, dj in correction:
+                    image = mapped[j][i][k]
+                    if not image.is_zero():
+                        bracket = bracket + image * dj
                 exponent = levels[i] - levels[k] + 1
                 if exponent >= 0:
                     row.append(bracket.scale(p ** exponent))
@@ -363,7 +389,7 @@ def _divided_connection(module: LogFFModule, lift: FrobLift) -> list[Matrix]:
                     if not bracket.is_zero():
                         raise NonIntegralError(
                             f"divided connection entry ({i},{k}) needs division by p^{-exponent}")
-                    row.append(RingElem.zero(spec))
+                    row.append(zero)
             rows.append(row)
         out.append(_canonical_rows(Matrix(spec, rows), module.torsions))
     return out

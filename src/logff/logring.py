@@ -40,7 +40,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from math import ceil, factorial, gcd
 from operator import add
 
@@ -75,8 +75,12 @@ class WorkingPrecisionError(AssertionError):
 class RingSpec:
     """Shape of the chart: prime p, precision n, d slots of which the first s are polynomial.
 
-    A spec is frozen, so it keeps what it derives from its fields: p^n, and
-    the constants 0 and 1 that `RingElem.zero` and `RingElem.one` hand out.
+    A spec is frozen, so it derives its constants once, when it is built:
+    p^n (`q`), the constants 0 and 1 that `RingElem.zero` and `RingElem.one`
+    hand out, and the exponent adder of `RingElem.__mul__`.  It also keeps
+    its copies at other precisions (`with_precision` builds each precision
+    once per spec).  None of these is a field, so equality and hashing read
+    (p, n, d, s) only.
     """
 
     p: int
@@ -91,36 +95,25 @@ class RingSpec:
             raise ValueError("precision n must be >= 1")
         if not 0 <= self.s <= self.d:
             raise ValueError("need 0 <= s <= d")
-
-    @cached_property
-    def q(self) -> int:
-        return self.p ** self.n
-
-    @cached_property
-    def _zero(self) -> "RingElem":
-        return RingElem._trusted(self, {})
-
-    @cached_property
-    def _one(self) -> "RingElem":
-        return RingElem(self, {(0,) * self.d: 1})
-
-    @cached_property
-    def _add_exps(self):
-        """The sum of two exponent vectors of length d, spelled out for d <= 3
-        (about half the time of tuple(map(add, ...)) at d = 3)."""
-        if self.d == 1:
-            return lambda a, b: (a[0] + b[0],)
-        if self.d == 2:
-            return lambda a, b: (a[0] + b[0], a[1] + b[1])
-        if self.d == 3:
-            return lambda a, b: (a[0] + b[0], a[1] + b[1], a[2] + b[2])
-        return lambda a, b: tuple(map(add, a, b))
+        # plain attributes rather than cached_property: every precision copy
+        # reads all four, and on CPython 3.11 each first read of a
+        # cached_property takes a lock
+        put = object.__setattr__
+        put(self, "q", self.p ** self.n)
+        put(self, "_zero", RingElem._trusted(self, {}))
+        put(self, "_one", RingElem(self, {(0,) * self.d: 1}))
+        put(self, "_add_exps", _exponent_adder(self.d))
+        put(self, "_at_precision", {})
 
     def with_precision(self, n: int) -> "RingSpec":
-        """The spec at precision n; the spec itself at its own precision (it is frozen)."""
+        """The spec at precision n: the spec itself at its own precision (it
+        is frozen), else a copy built once per precision and kept."""
         if n == self.n:
             return self
-        return RingSpec(self.p, n, self.d, self.s)
+        got = self._at_precision.get(n)
+        if got is None:
+            got = self._at_precision[n] = RingSpec(self.p, n, self.d, self.s)
+        return got
 
     def localized(self) -> "RingSpec":
         return RingSpec(self.p, self.n, self.d, 0)
@@ -173,23 +166,24 @@ def falling(x: int, m: int) -> int:
     return out
 
 
-def falling_product(exps: tuple[int, ...], index: tuple[int, ...]) -> int:
-    """prod_j falling(E_j, i_j): the eigenvalue of the falling operator at I on T^E."""
-    f = 1
-    for e, i in zip(exps, index):
-        if i:
-            f *= falling(e, i)
-            if f == 0:
-                break
-    return f
-
-
 def _falling_table(x: int, stop: int) -> list[int]:
     """[falling(x, i) for i < stop], by falling(x, i + 1) = falling(x, i) * (x - i)."""
     out = [1]
     for i in range(stop - 1):
         out.append(out[-1] * (x - i))
     return out
+
+
+def _exponent_adder(d: int):
+    """The sum of two exponent vectors of length d, spelled out for d <= 3
+    (about half the time of tuple(map(add, ...)) at d = 3)."""
+    if d == 1:
+        return lambda a, b: (a[0] + b[0],)
+    if d == 2:
+        return lambda a, b: (a[0] + b[0], a[1] + b[1])
+    if d == 3:
+        return lambda a, b: (a[0] + b[0], a[1] + b[1], a[2] + b[2])
+    return lambda a, b: tuple(map(add, a, b))
 
 
 def _slot0(spec: RingSpec, j: int) -> int:
@@ -429,17 +423,6 @@ class RingElem:
             out[tuple(e2)] = e[j0] * c
         return RingElem(self.spec, out)
 
-    def falling_coeff(self, index: tuple[int, ...]) -> "RingElem":
-        """Scalar falling-factorial operator: T^E -> (prod_j falling(E_j, i_j)) T^E."""
-        if len(index) != self.spec.d:
-            raise ValueError(f"multi-index {index} has wrong length for d={self.spec.d}")
-        out: dict[tuple[int, ...], int] = {}
-        for e, c in self.terms.items():
-            f = falling_product(e, index)
-            if f:
-                out[e] = f * c
-        return RingElem(self.spec, out)
-
     # -- precision and units --------------------------------------------
 
     def with_spec(self, spec: RingSpec) -> "RingElem":
@@ -536,14 +519,17 @@ class RingMap:
     such maps with equal monomial parts are honest units, which is what the
     divided-power Taylor machinery needs.
 
-    A map is immutable.  It memoizes what it derives from itself: the unit
-    part c_j * (1 + p*h_j) of each slot image, built with the map, and that
-    unit's inverse, built on the first request (`unit`, `unit_inverse`),
-    which `DividedCoeffs`, the divided connection and the pullback frame
-    read; the powers f(T_j)^e that `apply` uses, one per (slot, exponent),
-    a negative one built from f(T_j)^(-1) = T^(-E_j) * unit_inverse(j); and
-    its copies at other precisions (`with_precision` builds each precision
-    once per map and returns the map itself at its own precision).
+    A map is immutable.  Its constructor validates the images and derives
+    nothing from them; it memoizes what it derives, each on first read: the
+    unit parts c_j * (1 + p*h_j) of the slot images (`unit`), which
+    `DividedCoeffs`, the divided connection and the pullback frame read; the
+    slot images T^E_j * unit(j) (`image_elem`); each unit's inverse
+    (`unit_inverse`); the powers f(T_j)^e that `apply` uses, one per (slot,
+    exponent), a negative one built from f(T_j)^(-1) = T^(-E_j) *
+    unit_inverse(j); and its copies at other precisions (`with_precision`
+    builds each precision once per map and returns the map itself at its own
+    precision).  Most precision copies and composites are read by a few of
+    these, or by none.
     """
 
     def __init__(self, source: RingSpec, target: RingSpec,
@@ -571,10 +557,8 @@ class RingMap:
                 raise SpecMismatchError("unit part lives in the wrong ring")
             norm.append((c, exps, h))
         self.images = norm
-        one = RingElem.one(target)
-        self._units = [(one + h.scale(target.p)).scale(c) for c, _, h in norm]
-        self._elems = [RingElem.monomial(target, exps) * unit
-                       for (_, exps, _), unit in zip(norm, self._units)]
+        self._units: list[RingElem] | None = None
+        self._elems: list[RingElem] | None = None
         self._unit_invs: dict[int, RingElem] = {}
         self._pows: dict[tuple[int, int], RingElem] = {}
         self._at_precision: dict[int, RingMap] = {}
@@ -589,12 +573,23 @@ class RingMap:
         return cls(spec, spec, images)
 
     def image_elem(self, j: int) -> RingElem:
-        """f(T_j) for the 1-based slot j."""
-        return self._elems[j - 1]
+        """f(T_j) for the 1-based slot j; every slot's is built on the first read."""
+        elems = self._elems
+        if elems is None:
+            target = self.target
+            elems = self._elems = [RingElem.monomial(target, exps) * self.unit(j0 + 1)
+                                   for j0, (_, exps, _) in enumerate(self.images)]
+        return elems[j - 1]
 
     def unit(self, j: int) -> RingElem:
-        """The unit part c_j * (1 + p*h_j) of f(T_j), for the 1-based slot j."""
-        return self._units[j - 1]
+        """The unit part c_j * (1 + p*h_j) of f(T_j), for the 1-based slot j;
+        every slot's is built on the first read."""
+        units = self._units
+        if units is None:
+            target = self.target
+            one = RingElem.one(target)
+            units = self._units = [(one + h.scale(target.p)).scale(c) for c, _, h in self.images]
+        return units[j - 1]
 
     def unit_inverse(self, j: int) -> RingElem:
         """The inverse of unit(j), computed on the first request and kept."""
@@ -616,7 +611,8 @@ class RingMap:
         if got is None:
             if e > 0:
                 prev = self._pows.get((j0, e - 1))
-                got = self._elems[j0] ** e if prev is None else prev * self._elems[j0]
+                elem = self.image_elem(j0 + 1)
+                got = elem ** e if prev is None else prev * elem
             else:
                 exps = tuple(-x for x in self.images[j0][1])
                 inv = RingElem.monomial(self.target, exps) * self.unit_inverse(j0 + 1)

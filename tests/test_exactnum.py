@@ -81,6 +81,35 @@ def test_reduce_mod_is_ring_homomorphism():
         count += 1
 
 
+def _reduce_mod_by_definition(q, p, n):
+    """reduce_mod as the Fraction definition states it: valp by valp, then
+    the numerator times the inverse of the denominator mod p^n."""
+    q = Fraction(q)
+    if q == 0:
+        return 0
+    if valp(q, p) < 0:
+        raise NonIntegralError(f"{q} has negative {p}-adic valuation")
+    return q.numerator * pow(q.denominator, -1, p ** n) % p ** n
+
+
+def _outcome(fn, *args):
+    try:
+        return ("value", fn(*args))
+    except NonIntegralError as exc:
+        return ("raised", str(exc))
+
+
+@given(st.sampled_from([3, 5, 7]), st.integers(1, 4), st.integers(-10**6, 10**6),
+       st.integers(0, 3), st.integers(1, 10**4), st.booleans())
+def test_reduce_mod_matches_the_fraction_definition(p, n, num, k, unit, as_int):
+    # the denominator p^k * unit makes about half the inputs non-integral
+    q = num if as_int else Fraction(num, p ** k * unit)
+    got = _outcome(reduce_mod, q, p, n)
+    assert got == _outcome(_reduce_mod_by_definition, q, p, n)
+    if not as_int and valp(q, p) < 0:
+        assert got == ("raised", f"{q} has negative {p}-adic valuation")
+
+
 def test_modinv_rejects_non_units():
     with pytest.raises(ValueError):
         modinv(10, 25)

@@ -7,6 +7,9 @@ from logff.exactnum import NonIntegralError
 from logff.ffcoeff import multi_structure_constants
 from logff.ffmodule import (
     BasisVector,
+    _canonical_rows,
+    _divided_connection,
+    _reduce_entry,
     ElementNotInFilError,
     GlueCache,
     InvariantViolationError,
@@ -29,6 +32,7 @@ from logff.fixtures import (
     nil2,
     pulled_back_nil2,
     rank1_flat,
+    rank3_chain,
     random_elem,
     random_lift,
 )
@@ -191,6 +195,116 @@ class TestDividedConnection:
         assert results == [divided_connection(nil2(5, 2, d=2, s=1), lift) for lift in lifts]
         assert divided_connection(mod, lifts[0]) == results[0]
         assert len(mod._glue_cache.divided) == GlueCache.MAX_DIVIDED
+
+
+def _naive_divided_connection(mod, lift):
+    """The divided connection entry by entry, with every term of the bracket:
+    Phi(A_j[i,k]) mapped anew for every l, and every frame correction
+    delta_l(u_j) * w_j^{-1} built, zero or not, from w_j = 1 + p*u_j."""
+    spec = mod.spec
+    p, d, r = spec.p, spec.d, mod.rank
+    one = RingElem.one(spec)
+    winv = [(one + u.scale(p)).invert_unit() for u in lift.u]
+    out = []
+    for l in range(d):
+        rows = []
+        for i in range(r):
+            pm = p ** mod.basis[i].torsion
+            row = []
+            for k in range(r):
+                bracket = lift.apply(mod.connection[l].entry(i, k))
+                for j in range(d):
+                    correction = lift.u[j].log_derive(l + 1) * winv[j]
+                    bracket = bracket + lift.apply(mod.connection[j].entry(i, k)) * correction
+                exponent = mod.levels[i] - mod.levels[k] + 1
+                if exponent < 0:
+                    if any(c % pm for c in bracket.terms.values()):
+                        raise NonIntegralError(
+                            f"divided connection entry ({i},{k}) needs division by p^{-exponent}")
+                    bracket = RingElem.zero(spec)
+                row.append(RingElem(spec, {e: c * p ** max(exponent, 0) % pm
+                                           for e, c in bracket.terms.items()}))
+            rows.append(row)
+        out.append(Matrix(spec, rows))
+    return out
+
+
+def _divided_outcome(fn, mod, lift):
+    try:
+        return fn(mod, lift)
+    except NonIntegralError as exc:
+        return str(exc)
+
+
+def _reference_lifts(spec, rng):
+    """The module's own lift, the standard one and seeded random ones, among
+    them u_1 = 0 (the slot of every chain's connection), a constant u_j
+    (delta_l(u_j) = 0 with u_j != 0) and, at d > 1, nonzero u_j on the slots
+    whose connection is zero."""
+    zero, one = RingElem.zero(spec), RingElem.one(spec)
+    lifts = [FrobLift.standard(spec)]
+    for _ in range(2):
+        lifts.append(random_lift(rng, spec))
+        rest = [random_elem(rng, spec, max_terms=3, max_exp=2) for _ in range(spec.d - 1)]
+        lifts.append(FrobLift(spec, [zero] + rest))
+        lifts.append(FrobLift(spec, [one] + rest))
+    return lifts
+
+
+class TestDividedConnectionReference:
+    @pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (7, 3)])
+    def test_corpus_matches_the_entrywise_formula(self, p, n):
+        rng = random.Random(f"divided-reference-{p}-{n}")
+        for name, mod in corpus(p, n):
+            for lift in [mod.lift] + _reference_lifts(mod.spec, rng):
+                got = _divided_connection(mod, lift)
+                assert got == _naive_divided_connection(mod, lift), (name, lift.u)
+
+    @pytest.mark.parametrize("p,n", [(5, 2), (7, 3)])
+    def test_rank3_chain_d3_matches_the_entrywise_formula(self, p, n):
+        mod = rank3_chain(p, n, d=3)
+        rng = random.Random(f"divided-reference-d3-{p}-{n}")
+        for lift in _reference_lifts(mod.spec, rng):
+            assert _divided_connection(mod, lift) == _naive_divided_connection(mod, lift)
+
+    def test_nonintegral_error_is_unchanged(self):
+        for p, n in [(5, 2), (7, 3)]:
+            mod = next(m for name, m, _ in negative_controls(p, n)
+                       if name == "griffiths_level_gap")
+            for lift in _reference_lifts(mod.spec, random.Random(f"divided-raise-{p}")):
+                got = _divided_outcome(_divided_connection, mod, lift)
+                assert isinstance(got, str) and "needs division by p^1" in got
+                assert got == _divided_outcome(_naive_divided_connection, mod, lift)
+
+
+class TestFullTorsion:
+    def test_reduce_entry_returns_its_input_from_torsion_n_on(self):
+        spec = RingSpec(5, 3, 2, 1)
+        x = random_elem(random.Random("full-torsion"), spec)
+        assert _reduce_entry(x, 3) is x
+        low = _reduce_entry(x, 1)
+        assert low == RingElem(spec, {e: c % 5 for e, c in x.terms.items()}) and low != x
+
+    def test_canonical_rows_return_the_matrix_at_full_torsion(self):
+        for name, mod in corpus(5, 2):
+            for mat in (mod.frobenius,) + mod.connection:
+                if min(mod.torsions) == mod.spec.n:
+                    assert _canonical_rows(mat, mod.torsions) is mat, name
+
+    def test_mixed_torsion_still_reduces(self):
+        mod = mixed_torsion(5, 2)
+        spec = mod.spec
+        assert mod.torsions == [1, 2]
+        raw = Matrix(spec, [[RingElem.const(spec, 7), RingElem.const(spec, 13)],
+                            [RingElem.const(spec, 7), RingElem.const(spec, 13)]])
+        got = _canonical_rows(raw, mod.torsions)
+        assert got is not raw
+        assert got == Matrix.from_ints(spec, [[2, 3], [7, 13]])
+        # the module stores row 0 reduced mod 5: 6 * identity has Frobenius 1 on e0
+        six = LogFFModule(spec, mod.hodge_range, mod.basis, list(mod.connection), mod.lift,
+                          Matrix.from_ints(spec, [[6, 0], [0, 6]]))
+        assert six.frobenius.entry(0, 0) == RingElem.one(spec)
+        assert six.frobenius.entry(1, 1) == RingElem.const(spec, 6)
 
 
 class TestHorizontal:

@@ -30,6 +30,30 @@ def T(spec, j=1, power=1):
     return RingElem.variable(spec, j, power)
 
 
+def falling_product(exps, index):
+    """prod_j falling(E_j, i_j): the eigenvalue of the falling operator at I on T^E."""
+    f = 1
+    for e, i in zip(exps, index):
+        if i:
+            f *= falling(e, i)
+            if f == 0:
+                break
+    return f
+
+
+def falling_coeff(r, index):
+    """The scalar falling-factorial operator on r: T^E -> falling_product(E, I) T^E,
+    term by term; the reference the grouped sums of the engine are compared against."""
+    if len(index) != r.spec.d:
+        raise ValueError(f"multi-index {index} has wrong length for d={r.spec.d}")
+    out = {}
+    for e, c in r.terms.items():
+        f = falling_product(e, index)
+        if f:
+            out[e] = f * c
+    return RingElem(r.spec, out)
+
+
 class TestRingMul:
     def test_examples(self):
         spec = RingSpec(5, 1, 1, 1)
@@ -120,17 +144,17 @@ class TestFallingOp:
     def test_examples(self):
         spec = RingSpec(5, 2, 1, 1)
         assert falling(4, 2) == 12
-        assert T(spec, power=4).falling_coeff((2,)) == T(spec, power=4).scale(12)
-        assert T(spec).falling_coeff((2,)).is_zero()
+        assert falling_coeff(T(spec, power=4), (2,)) == T(spec, power=4).scale(12)
+        assert falling_coeff(T(spec), (2,)).is_zero()
         spec2 = RingSpec(5, 2, 2, 2)
         t1t2 = RingElem.monomial(spec2, (1, 1))
-        assert t1t2.falling_coeff((1, 1)) == t1t2
+        assert falling_coeff(t1t2, (1, 1)) == t1t2
 
     def test_index_of_wrong_length(self):
         t1t2 = RingElem.monomial(RingSpec(5, 2, 2, 2), (1, 1))
         for index in [(1,), (1, 1, 0)]:
             with pytest.raises(ValueError, match="wrong length"):
-                t1t2.falling_coeff(index)
+                falling_coeff(t1t2, index)
 
     def test_composition_is_structure_constants(self):
         # scalar avatar of the operator identity, constants from ffcoeff
@@ -141,10 +165,10 @@ class TestFallingOp:
             r = random_elem(rng, spec)
             for I in indices:
                 for J in indices:
-                    lhs = r.falling_coeff(J).falling_coeff(I)
+                    lhs = falling_coeff(falling_coeff(r, J), I)
                     rhs = RingElem.zero(spec)
                     for K, a in multi_structure_constants(I, J).items():
-                        rhs = rhs + r.falling_coeff(K).scale(a)
+                        rhs = rhs + falling_coeff(r, K).scale(a)
                     assert lhs == rhs, (I, J)
 
 
@@ -338,6 +362,103 @@ def _rebuilt(f, n):
     tgt = f.target.with_precision(n)
     return RingMap(f.source.with_precision(n), tgt,
                    [(c, e, h.with_spec(tgt)) for c, e, h in f.images])
+
+
+def test_spec_copies_are_memoized_per_spec_and_constants_match_their_definitions():
+    rng = random.Random("spec-constants")
+    for d in range(6):
+        spec = RingSpec(5, 2, d, min(d, 1))
+        assert spec.q == 25
+        assert RingElem.zero(spec) is spec._zero and spec._zero == RingElem(spec, {})
+        assert RingElem.one(spec) is spec._one
+        assert spec._one == RingElem(spec, {(0,) * d: 1})
+        for _ in range(5):
+            a = tuple(rng.randint(-9, 9) for _ in range(d))
+            b = tuple(rng.randint(-9, 9) for _ in range(d))
+            assert spec._add_exps(a, b) == tuple(x + y for x, y in zip(a, b))
+        for m in (1, 3, 4):
+            copy = spec.with_precision(m)
+            assert copy is spec.with_precision(m)
+            assert copy == RingSpec(5, m, d, spec.s) and copy.q == 5 ** m
+        # the constants are not fields: equality and hashing read (p, n, d, s) only
+        twin = RingSpec(5, 2, d, min(d, 1))
+        assert twin == spec and hash(twin) == hash(spec) and twin._zero is not spec._zero
+
+
+_ARITHMETIC = ("__add__", "__sub__", "__mul__", "__rmul__", "scale")
+
+
+def _count_arithmetic(monkeypatch) -> list:
+    """Record the name of every RingElem sum, difference, product or scaling."""
+    calls = []
+    for name in _ARITHMETIC:
+        real = getattr(RingElem, name)
+
+        def counted(self, *args, _real=real, _name=name):
+            calls.append(_name)
+            return _real(self, *args)
+
+        monkeypatch.setattr(RingElem, name, counted)
+    return calls
+
+
+def _eager_unit(f, j):
+    c, _, h = f.images[j - 1]
+    return (RingElem.one(f.target) + h.scale(f.target.p)).scale(c)
+
+
+def _eager_image(f, j):
+    return RingElem.monomial(f.target, f.images[j - 1][1]) * _eager_unit(f, j)
+
+
+def _eager_apply(f, r):
+    """f(r) as sum_E c * prod_j f(T_j)^E_j, a negative power inverting f(T_j)."""
+    out = RingElem.zero(f.target)
+    for exps, c in r.terms.items():
+        term = RingElem.const(f.target, c)
+        for j, e in enumerate(exps, start=1):
+            term = term * _eager_image(f, j) ** e
+        out = out + term
+    return out
+
+
+def test_building_a_map_or_a_precision_copy_performs_no_ring_arithmetic(monkeypatch):
+    rng = random.Random("lazy-map-data")
+    spec = RingSpec(5, 2, 2, 1)
+    hs = [random_elem(rng, spec, max_terms=2, max_exp=2) for _ in range(2)]
+    us = [random_elem(rng, spec, max_terms=3, max_exp=2) for _ in range(2)]
+    calls = _count_arithmetic(monkeypatch)
+    f = RingMap(spec, spec, [(2, (1, 1), hs[0]), (3, (0, -1), hs[1])])
+    lift = FrobLift(spec, us)
+    built = [f, lift, RingMap.identity(spec), FrobLift.standard(spec)]
+    built += [g.with_precision(m) for g in (f, lift) for m in (1, 4)]
+    assert calls == []
+    monkeypatch.undo()
+    rs = [random_elem(rng, spec) for _ in range(5)]
+    for g in built:
+        for j in (1, 2):
+            assert g.unit(j) == _eager_unit(g, j)
+            assert g.image_elem(j) == _eager_image(g, j)
+        for r in rs:
+            r = r.with_spec(g.source)
+            assert g.apply(r) == _eager_apply(g, r)
+
+
+def test_a_map_builds_its_unit_parts_and_images_on_first_read(monkeypatch):
+    spec = RingSpec(7, 3, 2, 0)
+    lift = random_lift(random.Random("first-read"), spec)
+    calls = _count_arithmetic(monkeypatch)
+    lift.unit(2)
+    units = len(calls)
+    assert units > 0          # every slot's unit part, at once
+    lift.unit(1)
+    assert len(calls) == units
+    lift.image_elem(1)
+    assert len(calls) > units
+    images = len(calls)
+    lift.image_elem(2)
+    lift.unit(1)
+    assert len(calls) == images
 
 
 class TestLocalize:
@@ -1322,7 +1443,7 @@ def _per_index_residual(r, lift1, lift2):
     acc = lift1.apply(r)
     for c in range(coeffs.stop):
         for index in multi_indices(spec.d, c):
-            part = r.falling_coeff(index)
+            part = falling_coeff(r, index)
             if part.is_zero():
                 continue
             acc = acc - lift2.apply(part) * coeffs.coeff(index, 0)
