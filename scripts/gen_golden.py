@@ -10,6 +10,9 @@ and stderr.  The runs are
 - `pullback` of every module fixture along each of the three map files,
 - `selftest --quick --format json`.
 
+Each demo under `demos/` adds one more key, its path; its value is the
+sha256 of what the demo prints, run as a script in this process.
+
 A change that alters any output on purpose regenerates this file in the
 same commit; any other change must leave it byte for byte as it is.
 """
@@ -20,6 +23,7 @@ import io
 import json
 import os
 import pathlib
+import runpy
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -71,12 +75,22 @@ def digest(argv) -> str:
     return hashlib.sha256(record.encode("utf-8")).hexdigest()
 
 
+def demo_digest(path: str) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(str(ROOT / path), run_name="__main__")
+    return hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+
+
 def golden_text() -> str:
     """The contents of tests/golden.json, computed in this process."""
     cwd = os.getcwd()
     os.chdir(ROOT)   # reports carry the file paths exactly as given
     try:
         digests = {" ".join(argv): digest(argv) for argv in command_lines()}
+        for demo in sorted(ROOT.glob("demos/*.py")):
+            path = demo.relative_to(ROOT).as_posix()
+            digests[path] = demo_digest(path)
     finally:
         os.chdir(cwd)
     return json.dumps(digests, indent=2) + "\n"

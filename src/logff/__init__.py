@@ -10,7 +10,7 @@ cocycle/linearity/horizontality properties, pullback functoriality, and the
 root-cover mechanism that kills logarithmic poles mod p^m.
 """
 
-from .exactnum import INFINITY, NonIntegralError, factorial_valp, modinv, reduce_mod, valp
+from .exactnum import NonIntegralError, factorial_valp, modinv, reduce_mod
 from .logring import (
     DividedCoeffs,
     FrobLift,

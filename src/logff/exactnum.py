@@ -17,39 +17,11 @@ positive).  Residues are canonical integer representatives in [0, p^n).
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-
-INFINITY = math.inf
 
 
 class NonIntegralError(ArithmeticError):
     """A divided-power coefficient had negative p-adic valuation."""
-
-
-def int_valp(m: int, p: int) -> int | float:
-    """v_p(m) for an integer, with v_p(0) = +infinity."""
-    if m == 0:
-        return INFINITY
-    v = 0
-    while m % p == 0:
-        m //= p
-        v += 1
-    return v
-
-
-def valp(q: Fraction | int, p: int) -> int | float:
-    """p-adic valuation of a rational: v_p(num) - v_p(den); +inf for 0.
-
-    >>> valp(Fraction(6, 5), 3)
-    1
-    >>> valp(Fraction(1, 9), 3)
-    -2
-    """
-    q = Fraction(q)
-    if q == 0:
-        return INFINITY
-    return int_valp(q.numerator, p) - int_valp(q.denominator, p)
 
 
 def factorial_valp(m: int, p: int) -> int:
@@ -75,12 +47,12 @@ def modinv(a: int, modulus: int) -> int:
 def reduce_mod(q: Fraction | int, p: int, n: int) -> int:
     """Image of a p-integral rational in Z/p^n, as the representative in [0, p^n).
 
-    The denominator is inverted mod p^n.  Raises NonIntegralError when
-    valp(q, p) < 0; that always signals either a bug or an invalid input,
-    never a condition to be papered over.  q is wrapped in a Fraction only
-    when it is not one already, and the valuation is read off its numerator
-    and denominator: a Fraction is in lowest terms, so valp(q, p) < 0
-    exactly when p divides the denominator.
+    The denominator is inverted mod p^n.  Raises NonIntegralError when q
+    has negative p-adic valuation; that always signals either a bug or an
+    invalid input, never a condition to be papered over.  q is wrapped in a
+    Fraction only when it is not one already; a Fraction is in lowest
+    terms, so its valuation is negative exactly when p divides the
+    denominator.
 
     >>> reduce_mod(Fraction(-1, 6), 5, 1)
     4

@@ -82,29 +82,24 @@ def _canonical_rows(mat: Matrix, torsions: list[int]) -> Matrix:
 
 class GlueCache:
     """Gluing work a module reuses across its own shell sums (transport._glue_columns)
-    and its horizontality checks.
+    and its gluing checks.
 
-    Each entry depends only on the module, or on the module and one lift or
-    pair of maps, so no result depends on the order of calls.  The size is
-    bounded: one operator memo per (mode, basis index), each holding at most
-    one vector per index below stop_shell; the last gluing
-    (transport.glue_map), a frozen GlueMap that names its own pair of maps
-    and carries the coefficient engine that built it; the divided
-    connections (divided_connection) of at most MAX_DIVIDED lifts, the
-    oldest dropped first; and whether the module passed the flatness and
-    Griffiths gate (_require_valid_for_glue), which either the gate of a
-    gluing or `run_all_checks` sets once both pass.  A failure is never
-    remembered: a failing gate or a NonIntegralError of divided_connection
-    raises on every call.
+    Each entry depends only on the module, or on the module and one pair of
+    maps, so no result depends on the order of calls.  The size is bounded:
+    one operator memo per (mode, basis index), each holding at most one
+    vector per index below stop_shell; the last gluing (transport.glue_map),
+    a frozen GlueMap that names its own pair of maps and carries the
+    coefficient engine that built it; and whether the module passed the
+    flatness and Griffiths gate (_require_valid_for_glue), which either the
+    gate of a gluing or `run_all_checks` sets once both pass.  A failing
+    gate is never remembered: it raises on every call.  Divided connections
+    are not kept: divided_connection maps each entry once, so computing one
+    again costs about what a lookup keyed by the lift would.
     """
-
-    # a module file names a handful of lifts (every shipped one at most four)
-    MAX_DIVIDED = 8
 
     def __init__(self):
         self.operator_memos: dict = {}     # (mode, k) -> {index: vector}
         self.glue = None                   # the last transport.GlueMap, with its pair
-        self.divided: dict = {}            # lift -> divided connection
         self.valid_for_glue = False
 
 
@@ -177,11 +172,6 @@ class LogFFModule:
     def with_frobenius(self, frobenius: Matrix, lift: FrobLift) -> "LogFFModule":
         return LogFFModule(self.spec, self.hodge_range, self.basis, list(self.connection),
                            lift, frobenius, wide_range=self.wide_range)
-
-    def basis_vector(self, k: int) -> list[RingElem]:
-        vec = [RingElem.zero(self.spec) for _ in range(self.rank)]
-        vec[k] = RingElem.one(self.spec)
-        return vec
 
     def __eq__(self, other):
         if not isinstance(other, LogFFModule):
@@ -327,25 +317,6 @@ def divided_connection(module: LogFFModule, lift: FrobLift | None = None) -> lis
     [x]_i = p^(a-i) [x]_a.  Under Griffiths transversality every p-exponent
     that appears is nonnegative; a negative one raises NonIntegralError.
 
-    The result is memoized per lift in the module's GlueCache; equal lifts
-    share one entry.
-    """
-    lift = lift if lift is not None else module.lift
-    if lift.spec != module.spec:
-        raise SpecMismatchError("lift over the wrong spec")
-    memo = module._glue_cache.divided
-    got = memo.get(lift)
-    if got is None:
-        got = _divided_connection(module, lift)
-        if len(memo) >= GlueCache.MAX_DIVIDED:
-            memo.pop(next(iter(memo)), None)
-        memo[lift] = got
-    return list(got)
-
-
-def _divided_connection(module: LogFFModule, lift: FrobLift) -> list[Matrix]:
-    """divided_connection without the module's memo.
-
     Entry (i, k) of matrix l is p^(level_i - level_k + 1) times the bracket
     Phi(A_l[i,k]) + sum_j Phi(A_j[i,k]) * D[l][j], with the frame correction
     D[l][j] = delta_l(u_j) * w_j^{-1} of the lift, w_j = 1 + p*u_j.  Each
@@ -355,6 +326,9 @@ def _divided_connection(module: LogFFModule, lift: FrobLift) -> list[Matrix]:
     other product in the sum is zero.  A negative exponent needs the
     bracket to vanish mod the row's torsion (NonIntegralError otherwise).
     """
+    lift = lift if lift is not None else module.lift
+    if lift.spec != module.spec:
+        raise SpecMismatchError("lift over the wrong spec")
     spec = module.spec
     p, d, r = spec.p, spec.d, module.rank
     levels = module.levels

@@ -94,6 +94,25 @@ def _matrix_from_lists(rows, spec: RingSpec, what: str, path: str) -> Matrix:
     return Matrix(spec, entries)
 
 
+def _basis_from_list(docs) -> list[BasisVector]:
+    """The basis vectors of a module document.  A basis that cannot be read
+    as an array of objects with name, level and torsion is refused at the
+    path of its first fault, in the order the entries are read."""
+    try:
+        return [BasisVector(v["name"], v["level"], v["torsion"]) for v in docs]
+    except (KeyError, TypeError):
+        if not isinstance(docs, list):
+            raise _shape_error("basis", "an array of basis objects", docs) from None
+        for k, v in enumerate(docs):
+            if not isinstance(v, dict):
+                raise _shape_error(
+                    f"basis[{k}]", "an object with name, level and torsion", v) from None
+            for key in ("name", "level", "torsion"):
+                if key not in v:
+                    raise InvariantViolationError(f"basis[{k}].{key}", "missing") from None
+        raise
+
+
 def _matrix_to_lists(mat: Matrix) -> list[list[str]]:
     return [[str(x) for x in row] for row in mat.rows]
 
@@ -103,10 +122,12 @@ def module_from_dict(doc: dict, wide_range: bool = False
     spec = _spec_from_dict(doc.get("ring", {}), "ring")
     try:
         a, b = (int(v) for v in doc["hodge_range"])
-        basis = [BasisVector(v["name"], v["level"], v["torsion"]) for v in doc["basis"]]
+        basis = _basis_from_list(doc["basis"])
         lift_docs = doc["lifts"]
         conn_docs = doc["connection"]
         frob_doc = doc["frobenius"]
+    except InvariantViolationError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise InvariantViolationError("document_shape", str(exc)) from None
     for k, v in enumerate(basis):
@@ -141,7 +162,11 @@ def module_from_dict(doc: dict, wide_range: bool = False
         raise _shape_error("frobenius.lift", "a lift name", frob_name)
     if frob_name not in lifts:
         raise InvariantViolationError("frobenius", f"unknown lift {frob_name!r}")
-    frobenius = _matrix_from_lists(frob_doc["matrix"], spec, "frobenius", "frobenius.matrix")
+    try:
+        frob_rows = frob_doc["matrix"]
+    except KeyError:
+        raise InvariantViolationError("frobenius.matrix", "missing") from None
+    frobenius = _matrix_from_lists(frob_rows, spec, "frobenius", "frobenius.matrix")
     module = LogFFModule(spec, (a, b), basis, connection, lifts[frob_name], frobenius,
                          wide_range=wide_range)
     # The reads above accept a string as a sequence here; refusing it last

@@ -57,48 +57,44 @@ class GlueMap:
     coeffs: DividedCoeffs = field(compare=False, repr=False)
 
 
-def _glue_columns(module: LogFFModule, coeffs: DividedCoeffs, g2: RingMap,
-                  vectors: list[tuple[int, list[RingElem]]]):
-    """The gluing formula on (level, vector) pairs, each in Fil^level: one
-    logring._shell_sum per vector, carried along g2, with the coefficient
+def _glue_columns(module: LogFFModule, coeffs: DividedCoeffs, g2: RingMap, r: RingElem):
+    """The gluing formula on r * e_k at level_k, for every basis index k: one
+    logring._shell_sum per column, carried along g2, with the coefficient
     engine coeffs of (g1, g2) at the module's precision.
 
     The engine's mode picks the operator: falling_connection_op ("ratio")
-    or _ordinary_connection_op ("difference").  A basis vector's operator
-    memo lives in the module's GlueCache; any other vector's lives for this
-    call only.
+    or _ordinary_connection_op ("difference").  For r = 1 (the gluing
+    matrix, and the first linearity sample of `logff glue`) the vectors are
+    the basis vectors, whose operator memos live in the module's GlueCache;
+    for any other r each memo lives for this call only.
     """
     a, mode = module.hodge_range[0], coeffs.mode
     # read at call time, so that a wrapper installed on the module-level name
     # sees every operator call
     op = falling_connection_op if mode == "ratio" else _ordinary_connection_op
-    cache = module._glue_cache
+    memos = module._glue_cache.operator_memos
+    shared = r == RingElem.one(module.spec)
     rows = [(v.level, v.torsion) for v in module.basis]
     connection = list(module.connection)
-    basis = [module.basis_vector(k) for k in range(module.rank)]
     columns = []
-    for i, vec in vectors:
-        # linearity passes r * e_k, which is e_k for r = 1 (the first sample of
-        # `logff glue`), so its basis memo answers every operator call
-        if vec in basis:
-            memo = cache.operator_memos.setdefault((mode, basis.index(vec)), {})
-        else:
-            memo = {}
-        columns.append(_shell_sum(coeffs, g2, rows, a, i,
+    for k, (level, _) in enumerate(rows):
+        vec = [RingElem.zero(module.spec)] * module.rank
+        vec[k] = r
+        memo = memos.setdefault((mode, k), {}) if shared else {}
+        columns.append(_shell_sum(coeffs, g2, rows, a, level,
                                   functools.partial(op, connection, vec, memo=memo), memo))
     return columns
 
 
 def _basis_glue(module: LogFFModule, g1: RingMap, g2: RingMap, mode: str = "ratio"):
-    """_glue_columns on the basis vectors, as a matrix (column k for e_k), with
-    the coefficient engine of (g1, g2) in the given mode that it builds."""
+    """_glue_columns at r = 1, as a matrix (column k for e_k), with the
+    coefficient engine of (g1, g2) in the given mode that it builds."""
     a, b = module.hodge_range
     base_n = module.spec.n
     if g1.source.with_precision(base_n) != module.spec:
         raise SpecMismatchError("maps must start at the module's ring")
     coeffs = DividedCoeffs(g1, g2, width=b - a, mode=mode, base_n=base_n)
-    vectors = [(module.levels[k], module.basis_vector(k)) for k in range(module.rank)]
-    columns = _glue_columns(module, coeffs, g2, vectors)
+    columns = _glue_columns(module, coeffs, g2, RingElem.one(module.spec))
     rows = [[columns[k][m] for k in range(module.rank)] for m in range(module.rank)]
     return Matrix(coeffs.base_spec, rows), coeffs
 
@@ -146,12 +142,7 @@ def check_glue_linearity(module: LogFFModule, l1, l2, r: RingElem) -> bool:
     """
     g = glue_map(module, l1, l2)
     r_image = l1.with_precision(module.spec.n).apply(r)
-    vectors = []
-    for k in range(module.rank):
-        vec = [RingElem.zero(module.spec)] * module.rank
-        vec[k] = r
-        vectors.append((module.levels[k], vec))
-    columns = _glue_columns(module, g.coeffs, l2, vectors)
+    columns = _glue_columns(module, g.coeffs, l2, r)
     for k in range(module.rank):
         expected = [g.matrix.entry(m, k) * r_image for m in range(module.rank)]
         for m in range(module.rank):

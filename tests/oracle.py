@@ -5,12 +5,45 @@ lift units, which lets everything stay in exact `fractions.Fraction`
 arithmetic with hand-rolled matrix products: no ring elements, no shared
 shell machinery, no working-precision tricks.  Shell sums run until three
 consecutive shells reduce to zero mod p^n and are cross-checked for
-stability against a longer run.
+stability against a longer run.  The p-adic valuation and the reduction
+into Z/p^n are defined here too, so the oracle shares no arithmetic with
+the engine.
 """
 
+import math
 from fractions import Fraction
 
-from logff.exactnum import reduce_mod, valp
+INFINITY = math.inf
+
+
+def int_valp(m, p):
+    """v_p(m) for an integer, with v_p(0) = +infinity."""
+    if m == 0:
+        return INFINITY
+    v = 0
+    while m % p == 0:
+        m //= p
+        v += 1
+    return v
+
+
+def valp(q, p):
+    """p-adic valuation of a rational: v_p(num) - v_p(den); +inf for 0."""
+    q = Fraction(q)
+    if q == 0:
+        return INFINITY
+    return int_valp(q.numerator, p) - int_valp(q.denominator, p)
+
+
+def reduce_mod_by_definition(q, p, n):
+    """A p-integral rational in Z/p^n as the definition states it: valp by
+    valp, then the numerator times the inverse of the denominator mod p^n."""
+    q = Fraction(q)
+    if q == 0:
+        return 0
+    if valp(q, p) < 0:
+        raise ArithmeticError(f"{q} has negative {p}-adic valuation")
+    return q.numerator * pow(q.denominator, -1, p ** n) % p ** n
 
 
 def mat_mul(A, B):
@@ -88,4 +121,4 @@ def glue_matrix_constant(p, n, levels, hodge_a, connections, u1, u2, max_shell=1
                         shell_vanishes = False
             tail_vanishes = tail_vanishes + 1 if shell_vanishes else 0
         assert tail_vanishes >= 3, "oracle shell budget too small"
-    return [[reduce_mod(entry, p, n) for entry in row] for row in G]
+    return [[reduce_mod_by_definition(entry, p, n) for entry in row] for row in G]

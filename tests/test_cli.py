@@ -98,10 +98,14 @@ class TestCheck:
         (lambda d: d["basis"][1].__setitem__("torsion", True), "basis[1].torsion"),
         (lambda d: d["basis"][0].__setitem__("name", None), "basis[0].name"),
         (lambda d: d["basis"][1].__setitem__("name", 0), "basis[1].name"),
+        (lambda d: d["basis"].__setitem__(0, 0), "basis[0]"),
+        (lambda d: d["basis"].__setitem__(1, ["e1", 1, 1]), "basis[1]"),
+        (lambda d: d.__setitem__("basis", "e0"), "basis"),
     ], ids=["connection_entry_int", "lifts_as_list", "lift_entry_int", "lift_value_int",
             "frobenius_as_list", "ragged_matrix", "hodge_range_string", "connection_entry_object",
             "ring_d_float", "ring_d_bool", "ring_d_string", "ring_n_float", "basis_level_float",
-            "basis_torsion_bool", "basis_name_null", "basis_name_int"])
+            "basis_torsion_bool", "basis_name_null", "basis_name_int", "basis_entry_int",
+            "basis_entry_array", "basis_string"])
     def test_malformed_shape_exit_2(self, capsys, tmp_path, edit, where):
         from logff.fixtures import nil2
         from logff.modfile import module_to_dict
@@ -115,6 +119,32 @@ class TestCheck:
         assert code == 2 and not out
         assert err.startswith(f"error: {where}: expected") or err.startswith(f"error: {where}: row")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda d: d["frobenius"].pop("matrix"), "frobenius.matrix: missing"),
+        (lambda d: d["basis"][0].pop("name"), "basis[0].name: missing"),
+        (lambda d: d["basis"][1].pop("level"), "basis[1].level: missing"),
+        (lambda d: d["basis"][1].pop("torsion"), "basis[1].torsion: missing"),
+        # the basis is read before the lifts, so its fault is still the one reported
+        (lambda d: (d["basis"].__setitem__(0, 0), d.pop("lifts")),
+         "basis[0]: expected an object with name, level and torsion, got integer"),
+        # a missing top-level key keeps its message
+        (lambda d: d.pop("basis"), "document_shape: 'basis'"),
+        (lambda d: d.pop("frobenius"), "document_shape: 'frobenius'"),
+    ], ids=["frobenius_without_matrix", "basis_without_name", "basis_without_level",
+            "basis_without_torsion", "basis_before_lifts", "without_basis", "without_frobenius"])
+    def test_missing_field_exit_2(self, capsys, tmp_path, edit, message):
+        from logff.fixtures import nil2
+        from logff.modfile import module_to_dict
+
+        module = nil2(5, 2)
+        doc = module_to_dict(module, {"Phi": module.lift}, "Phi")
+        edit(doc)
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "check", str(path), "--format", "json")
+        assert code == 2 and not out
+        assert err == f"error: {message}\n"
 
     def test_json_report_deterministic(self, fixture_dir, capsys):
         path = str(fixture_dir / "nil2_p5n1.json")

@@ -9,8 +9,8 @@ from logff.ffmodule import (
     BasisVector,
     InvariantViolationError,
     LogFFModule,
-    _divided_connection,
     _ordinary_connection_op,
+    divided_connection,
     falling_connection_op,
     root_map,
     run_all_checks,
@@ -508,7 +508,6 @@ class TestGlueCache:
         assert check_glue_horizontal(mod, l1, l2)
         cache = mod._glue_cache
         assert cache.operator_memos and cache.glue is not None and cache.valid_for_glue
-        assert cache.divided
         f = RingMap(mod.spec, mod.spec,
                     [(1, (1, 0), RingElem.variable(mod.spec, 1)),
                      (1, (0, 1), RingElem.zero(mod.spec))])
@@ -517,8 +516,7 @@ class TestGlueCache:
         for other in derived:
             empty = other._glue_cache
             assert empty is not cache
-            assert (empty.operator_memos, empty.glue, empty.divided, empty.valid_for_glue) \
-                == ({}, None, {}, False)
+            assert (empty.operator_memos, empty.glue, empty.valid_for_glue) == ({}, None, False)
 
     def test_failing_gate_raises_on_every_call(self, fixture_dir):
         text = (fixture_dir / "bad_flat_p5n2.json").read_text()
@@ -568,8 +566,8 @@ class TestGlueCache:
         stop = stop_shell(mod.spec.p, mod.spec.n, b - a)
         conn = list(mod.connection)
         r = random_elem(random.Random(9), mod.spec)
-        for vec in [mod.basis_vector(k) for k in range(mod.rank)] + \
-                [[x * r for x in mod.basis_vector(0)]]:
+        for vec in [vec for _, vec in _r_vectors(mod, RingElem.one(mod.spec))] + \
+                [_r_vectors(mod, r)[0][1]]:
             memo = {}
             for c in range(stop):
                 for idx in multi_indices(mod.spec.d, c):
@@ -704,10 +702,10 @@ def test_divided_connection_reads_the_unit_inverses_of_the_lift_map(monkeypatch)
     assert not any(mat.is_zero() for mat in mod.connection)
     for lift in (random_lift(random.Random(f"winv:{k}"), spec) for k in range(3)):
         w = [RingElem.one(spec) + u.scale(spec.p) for u in lift.u]
-        got = _divided_connection(mod, lift)
+        got = divided_connection(mod, lift)
         with monkeypatch.context() as patch:
             patch.setattr(RingMap, "unit_inverse", lambda self, j: w[j - 1].invert_unit())
-            assert _divided_connection(mod, lift) == got
+            assert divided_connection(mod, lift) == got
         assert [lift.unit(j) for j in (1, 2)] == w
 
 
@@ -757,13 +755,19 @@ def _per_index_columns(module, coeffs, g2, vectors):
     return columns
 
 
-def _glue_vectors(module, rng):
-    """Each basis vector at its level, and r * e_k for a random r at every level."""
-    vectors = [(module.levels[k], module.basis_vector(k)) for k in range(module.rank)]
+def _r_vectors(module, r):
+    """(level_k, r * e_k) for every basis index k: the vectors _glue_columns glues."""
+    vectors = []
     for k in range(module.rank):
-        r = random_elem(rng, module.spec)
-        vectors.append((module.levels[k], [x * r for x in module.basis_vector(k)]))
+        vec = [RingElem.zero(module.spec)] * module.rank
+        vec[k] = r
+        vectors.append((module.levels[k], vec))
     return vectors
+
+
+def _glue_rs(module, rng):
+    """r = 1, whose columns share the module's basis memos, and one random r."""
+    return [RingElem.one(module.spec), random_elem(rng, module.spec)]
 
 
 _SWEEP_CELLS = [(3, 2), (5, 2), (7, 3)]
@@ -783,13 +787,14 @@ def test_glue_columns_equal_the_per_index_sweep(p, n):
         for mode in modes:
             for g1, g2 in [(random_lift(rng, spec), module.lift),
                            (random_lift(rng, spec), random_lift(rng, spec))]:
-                vectors = _glue_vectors(module, rng)
-                got = transport_module._glue_columns(
-                    module, DividedCoeffs(g1, g2, b - a, mode=mode, base_n=n), g2, vectors)
-                want = _per_index_columns(
-                    module, DividedCoeffs(g1, g2, b - a, mode=mode, base_n=n), g2, vectors)
-                assert got == want, (name, mode)
-                compared += len(vectors)
+                for r in _glue_rs(module, rng):
+                    got = transport_module._glue_columns(
+                        module, DividedCoeffs(g1, g2, b - a, mode=mode, base_n=n), g2, r)
+                    want = _per_index_columns(
+                        module, DividedCoeffs(g1, g2, b - a, mode=mode, base_n=n), g2,
+                        _r_vectors(module, r))
+                    assert got == want, (name, mode, str(r))
+                    compared += module.rank
     assert compared > 0
 
 
@@ -817,14 +822,16 @@ def test_operator_is_called_exactly_below_live_parents(name, factory, monkeypatc
     g1, g2 = random_lift(rng, spec), random_lift(rng, spec)
     coeffs = DividedCoeffs(g1, g2, b - a, base_n=spec.n)
     assert not coeffs.all_zero
-    vectors = _glue_vectors(module, rng)
+    rs = _glue_rs(module, rng)
     calls = []
     real = transport_module.falling_connection_op
     monkeypatch.setattr(transport_module, "falling_connection_op",
                         lambda conn, vec, index, *, memo:
                         calls.append((tuple(vec), index)) or real(conn, vec, index, memo=memo))
-    transport_module._glue_columns(module, coeffs, g2, vectors)
+    for r in rs:
+        transport_module._glue_columns(module, coeffs, g2, r)
     monkeypatch.undo()
+    vectors = [pair for r in rs for pair in _r_vectors(module, r)]
     conn = list(module.connection)
     skipped = 0
     for _, vec in vectors:
@@ -887,7 +894,7 @@ def test_taylor_residual_is_the_unit_module_gluing(p, n, d, s, monkeypatch):
         residual = taylor_residual(r, phi, psi)
         taylor_requests = requests[:]
         requests.clear()
-        column = transport_module._glue_columns(unit, DividedCoeffs(phi, psi, 0), psi, [(0, [r])])
+        column = transport_module._glue_columns(unit, DividedCoeffs(phi, psi, 0), psi, r)
         assert residual == phi.apply(r) - column[0][0]
         assert requests == taylor_requests
         requests.clear()
